@@ -4,7 +4,7 @@
 # Mirrors the CI matrix (.github/workflows/ci.yml):
 #   1. RelWithDebInfo build with -Werror, full ctest run
 #   2. ASan+UBSan build, full ctest run
-#   3. tvarak-lint (R1..R14 + SARIF determinism) + fixture self-test
+#   3. tvarak-lint (every rule + SARIF determinism) + fixture self-test
 #   4. clang-tidy (skipped with a notice if not installed)
 #
 # Usage: scripts/check.sh [--fast]

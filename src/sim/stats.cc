@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 namespace tvarak {
 
@@ -34,70 +35,30 @@ Stats::reset()
 {
     std::fill(threadCycles.begin(), threadCycles.end(), 0);
     std::fill(dimmBusyCycles.begin(), dimmBusyCycles.end(), 0);
-    l1Accesses = l1Misses = l2Accesses = l2Misses = 0;
-    llcAccesses = llcMisses = 0;
-    tvarakCacheAccesses = tvarakCacheMisses = 0;
-    dramReads = dramWrites = 0;
-    nvmDataReads = nvmDataWrites = 0;
-    nvmRedundancyReads = nvmRedundancyWrites = 0;
-    nvmCsumLineAccesses = nvmParityLineAccesses = 0;
-    l1Energy = l2Energy = llcEnergy = dramEnergy = nvmEnergy =
-        tvarakEnergy = 0;
-    readVerifications = redundancyUpdates = 0;
-    diffCaptures = diffEvictions = redundancyInvalidations = 0;
-    corruptionsDetected = recoveries = 0;
-    degradedReads = degradedReadsMulti = 0;
-    degradedWritesDropped = degradedRedSkips = 0;
-    rebuildLines = rebuildRestarts = scrubLines = scrubRepairs = 0;
-    swChecksumBytes = txCommits = 0;
+#define TVARAK_STATS_RESET(type, member, key) member = 0;
+    TVARAK_STATS_COUNTERS(TVARAK_STATS_RESET)
+#undef TVARAK_STATS_RESET
 }
 
 void
 Stats::dump(std::ostream &os) const
 {
-    os << "runtime.cycles            " << runtimeCycles() << "\n"
-       << "runtime.maxThreadCycles   " << maxThreadCycles() << "\n"
-       << "runtime.maxDimmBusyCycles " << maxDimmBusyCycles() << "\n"
-       << "cache.l1.accesses         " << l1Accesses << "\n"
-       << "cache.l1.misses           " << l1Misses << "\n"
-       << "cache.l2.accesses         " << l2Accesses << "\n"
-       << "cache.l2.misses           " << l2Misses << "\n"
-       << "cache.llc.accesses        " << llcAccesses << "\n"
-       << "cache.llc.misses          " << llcMisses << "\n"
-       << "cache.tvarak.accesses     " << tvarakCacheAccesses << "\n"
-       << "cache.tvarak.misses       " << tvarakCacheMisses << "\n"
-       << "mem.dram.reads            " << dramReads << "\n"
-       << "mem.dram.writes           " << dramWrites << "\n"
-       << "mem.nvm.data.reads        " << nvmDataReads << "\n"
-       << "mem.nvm.data.writes       " << nvmDataWrites << "\n"
-       << "mem.nvm.red.reads         " << nvmRedundancyReads << "\n"
-       << "mem.nvm.red.writes        " << nvmRedundancyWrites << "\n"
-       << "mem.nvm.csumLine.accesses " << nvmCsumLineAccesses << "\n"
-       << "mem.nvm.parityLine.accesses " << nvmParityLineAccesses << "\n"
-       << "energy.l1.pJ              " << l1Energy << "\n"
-       << "energy.l2.pJ              " << l2Energy << "\n"
-       << "energy.llc.pJ             " << llcEnergy << "\n"
-       << "energy.dram.pJ            " << dramEnergy << "\n"
-       << "energy.nvm.pJ             " << nvmEnergy << "\n"
-       << "energy.tvarak.pJ          " << tvarakEnergy << "\n"
-       << "energy.total.pJ           " << totalEnergy() << "\n"
-       << "red.readVerifications     " << readVerifications << "\n"
-       << "red.redundancyUpdates     " << redundancyUpdates << "\n"
-       << "red.diffCaptures          " << diffCaptures << "\n"
-       << "red.diffEvictions         " << diffEvictions << "\n"
-       << "red.invalidations         " << redundancyInvalidations << "\n"
-       << "red.corruptionsDetected   " << corruptionsDetected << "\n"
-       << "red.recoveries            " << recoveries << "\n"
-       << "red.degradedReads         " << degradedReads << "\n"
-       << "red.degradedReadsMulti    " << degradedReadsMulti << "\n"
-       << "red.degradedWritesDropped " << degradedWritesDropped << "\n"
-       << "red.degradedRedSkips      " << degradedRedSkips << "\n"
-       << "red.rebuildLines          " << rebuildLines << "\n"
-       << "red.rebuildRestarts       " << rebuildRestarts << "\n"
-       << "red.scrubLines            " << scrubLines << "\n"
-       << "red.scrubRepairs          " << scrubRepairs << "\n"
-       << "sw.checksumBytes          " << swChecksumBytes << "\n"
-       << "sw.txCommits              " << txCommits << "\n";
+    // Keys are padded to a 26-column field, with at least one space.
+    auto row = [&os](std::string_view key, auto value) {
+        constexpr std::size_t kKeyWidth = 26;
+        std::size_t pad =
+            key.size() < kKeyWidth ? kKeyWidth - key.size() : 1;
+        os << key << std::string(pad, ' ') << value << "\n";
+    };
+    row("runtime.cycles", runtimeCycles());
+    row("runtime.maxThreadCycles", maxThreadCycles());
+    row("runtime.maxDimmBusyCycles", maxDimmBusyCycles());
+#define TVARAK_STATS_DUMP(type, member, key)             \
+    row(key, member);                                    \
+    if (std::string_view(key) == "energy.tvarak.pJ")     \
+        row("energy.total.pJ", totalEnergy());
+    TVARAK_STATS_COUNTERS(TVARAK_STATS_DUMP)
+#undef TVARAK_STATS_DUMP
 }
 
 namespace {
@@ -147,51 +108,12 @@ statsDiff(const Stats &a, const Stats &b)
                    d)) {
         return d;
     }
-// Field names use the member spelling, not dump()'s dotted registry
-// style (whose uniqueness tvarak-lint R2 checks within this file).
-#define TVARAK_DIFF_FIELD(field)                \
-    if (diffScalar(#field, a.field, b.field, d)) \
-        return d
-    TVARAK_DIFF_FIELD(l1Accesses);
-    TVARAK_DIFF_FIELD(l1Misses);
-    TVARAK_DIFF_FIELD(l2Accesses);
-    TVARAK_DIFF_FIELD(l2Misses);
-    TVARAK_DIFF_FIELD(llcAccesses);
-    TVARAK_DIFF_FIELD(llcMisses);
-    TVARAK_DIFF_FIELD(tvarakCacheAccesses);
-    TVARAK_DIFF_FIELD(tvarakCacheMisses);
-    TVARAK_DIFF_FIELD(dramReads);
-    TVARAK_DIFF_FIELD(dramWrites);
-    TVARAK_DIFF_FIELD(nvmDataReads);
-    TVARAK_DIFF_FIELD(nvmDataWrites);
-    TVARAK_DIFF_FIELD(nvmRedundancyReads);
-    TVARAK_DIFF_FIELD(nvmRedundancyWrites);
-    TVARAK_DIFF_FIELD(nvmCsumLineAccesses);
-    TVARAK_DIFF_FIELD(nvmParityLineAccesses);
-    TVARAK_DIFF_FIELD(l1Energy);
-    TVARAK_DIFF_FIELD(l2Energy);
-    TVARAK_DIFF_FIELD(llcEnergy);
-    TVARAK_DIFF_FIELD(dramEnergy);
-    TVARAK_DIFF_FIELD(nvmEnergy);
-    TVARAK_DIFF_FIELD(tvarakEnergy);
-    TVARAK_DIFF_FIELD(readVerifications);
-    TVARAK_DIFF_FIELD(redundancyUpdates);
-    TVARAK_DIFF_FIELD(diffCaptures);
-    TVARAK_DIFF_FIELD(diffEvictions);
-    TVARAK_DIFF_FIELD(redundancyInvalidations);
-    TVARAK_DIFF_FIELD(corruptionsDetected);
-    TVARAK_DIFF_FIELD(recoveries);
-    TVARAK_DIFF_FIELD(degradedReads);
-    TVARAK_DIFF_FIELD(degradedReadsMulti);
-    TVARAK_DIFF_FIELD(degradedWritesDropped);
-    TVARAK_DIFF_FIELD(degradedRedSkips);
-    TVARAK_DIFF_FIELD(rebuildLines);
-    TVARAK_DIFF_FIELD(rebuildRestarts);
-    TVARAK_DIFF_FIELD(scrubLines);
-    TVARAK_DIFF_FIELD(scrubRepairs);
-    TVARAK_DIFF_FIELD(swChecksumBytes);
-    TVARAK_DIFF_FIELD(txCommits);
-#undef TVARAK_DIFF_FIELD
+    // Fields are named by their member spelling, not the dump key.
+#define TVARAK_STATS_DIFF(type, member, key)        \
+    if (diffScalar(#member, a.member, b.member, d)) \
+        return d;
+    TVARAK_STATS_COUNTERS(TVARAK_STATS_DIFF)
+#undef TVARAK_STATS_DIFF
     return "";
 }
 

@@ -7,6 +7,10 @@
  * quantities plotted in the paper's Figure 8: runtime (cycles), energy
  * (pJ, by component), NVM accesses split into data vs. redundancy, and
  * cache accesses split by level including the on-TVARAK cache.
+ *
+ * Every scalar counter is one row of TVARAK_STATS_COUNTERS; the member
+ * declarations, reset(), dump() and statsDiff() are generated from
+ * that table, so adding a counter means adding one row.
  */
 
 #pragma once
@@ -17,6 +21,70 @@
 #include <vector>
 
 #include "sim/types.hh"
+
+/**
+ * The scalar counter table: X(type, member, "dump.key"), one row per
+ * counter, in dump() order. Stats::dump() prints the three derived
+ * runtime.* rows before the table and energy.total.pJ right after
+ * energy.tvarak.pJ.
+ */
+#define TVARAK_STATS_COUNTERS(X)                                            \
+    /* Cache accesses (Fig 8, fourth column) */                             \
+    X(std::uint64_t, l1Accesses, "cache.l1.accesses")                       \
+    X(std::uint64_t, l1Misses, "cache.l1.misses")                           \
+    X(std::uint64_t, l2Accesses, "cache.l2.accesses")                       \
+    X(std::uint64_t, l2Misses, "cache.l2.misses")                           \
+    X(std::uint64_t, llcAccesses, "cache.llc.accesses")                     \
+    X(std::uint64_t, llcMisses, "cache.llc.misses")                         \
+    X(std::uint64_t, tvarakCacheAccesses, "cache.tvarak.accesses")          \
+    X(std::uint64_t, tvarakCacheMisses, "cache.tvarak.misses")              \
+    /* Memory accesses (Fig 8, third column) */                             \
+    X(std::uint64_t, dramReads, "mem.dram.reads")                           \
+    X(std::uint64_t, dramWrites, "mem.dram.writes")                         \
+    X(std::uint64_t, nvmDataReads, "mem.nvm.data.reads")                    \
+    X(std::uint64_t, nvmDataWrites, "mem.nvm.data.writes")                  \
+    /* checksum/parity/diff traffic */                                      \
+    X(std::uint64_t, nvmRedundancyReads, "mem.nvm.red.reads")               \
+    X(std::uint64_t, nvmRedundancyWrites, "mem.nvm.red.writes")             \
+    /* subsets of it: checksum lines, parity lines */                       \
+    X(std::uint64_t, nvmCsumLineAccesses, "mem.nvm.csumLine.accesses")      \
+    X(std::uint64_t, nvmParityLineAccesses, "mem.nvm.parityLine.accesses")  \
+    /* Energy (pJ, by component) */                                         \
+    X(PicoJoules, l1Energy, "energy.l1.pJ")                                 \
+    X(PicoJoules, l2Energy, "energy.l2.pJ")                                 \
+    X(PicoJoules, llcEnergy, "energy.llc.pJ")                               \
+    X(PicoJoules, dramEnergy, "energy.dram.pJ")                             \
+    X(PicoJoules, nvmEnergy, "energy.nvm.pJ")                               \
+    X(PicoJoules, tvarakEnergy, "energy.tvarak.pJ")                         \
+    /* TVARAK / redundancy events */                                        \
+    /* NVM->LLC reads verified */                                           \
+    X(std::uint64_t, readVerifications, "red.readVerifications")            \
+    /* LLC->NVM writebacks covered */                                       \
+    X(std::uint64_t, redundancyUpdates, "red.redundancyUpdates")            \
+    /* data diffs stored in the LLC, diff-partition evictions */            \
+    X(std::uint64_t, diffCaptures, "red.diffCaptures")                      \
+    X(std::uint64_t, diffEvictions, "red.diffEvictions")                    \
+    /* MESI invalidations of controller-cache lines */                      \
+    X(std::uint64_t, redundancyInvalidations, "red.invalidations")          \
+    X(std::uint64_t, corruptionsDetected, "red.corruptionsDetected")        \
+    /* lines/pages rebuilt from parity */                                   \
+    X(std::uint64_t, recoveries, "red.recoveries")                          \
+    /* Degraded mode / rebuild / scrub (whole-DIMM failure) */              \
+    /* fills reconstructed via parity; ...with >= 2 DIMMs down */           \
+    X(std::uint64_t, degradedReads, "red.degradedReads")                    \
+    X(std::uint64_t, degradedReadsMulti, "red.degradedReadsMulti")          \
+    /* writebacks to a dead DIMM; csum/parity updates skipped */            \
+    X(std::uint64_t, degradedWritesDropped, "red.degradedWritesDropped")    \
+    X(std::uint64_t, degradedRedSkips, "red.degradedRedSkips")              \
+    /* lines restored by RebuildEngine; rebuilds aborted by a new fault */  \
+    X(std::uint64_t, rebuildLines, "red.rebuildLines")                      \
+    X(std::uint64_t, rebuildRestarts, "red.rebuildRestarts")                \
+    /* lines verified / lines or pages fixed by the scrubber */             \
+    X(std::uint64_t, scrubLines, "red.scrubLines")                          \
+    X(std::uint64_t, scrubRepairs, "red.scrubRepairs")                      \
+    /* Software-scheme events: bytes checksummed in sw, tx commits */       \
+    X(std::uint64_t, swChecksumBytes, "sw.checksumBytes")                   \
+    X(std::uint64_t, txCommits, "sw.txCommits")
 
 namespace tvarak {
 
@@ -31,68 +99,9 @@ struct Stats {
     std::vector<Cycles> dimmBusyCycles;   //!< occupancy per NVM DIMM
     /**@}*/
 
-    /** @name Cache accesses (Fig 8, fourth column) */
-    /**@{*/
-    std::uint64_t l1Accesses = 0;
-    std::uint64_t l1Misses = 0;
-    std::uint64_t l2Accesses = 0;
-    std::uint64_t l2Misses = 0;
-    std::uint64_t llcAccesses = 0;
-    std::uint64_t llcMisses = 0;
-    std::uint64_t tvarakCacheAccesses = 0;
-    std::uint64_t tvarakCacheMisses = 0;
-    /**@}*/
-
-    /** @name Memory accesses (Fig 8, third column) */
-    /**@{*/
-    std::uint64_t dramReads = 0;
-    std::uint64_t dramWrites = 0;
-    std::uint64_t nvmDataReads = 0;
-    std::uint64_t nvmDataWrites = 0;
-    std::uint64_t nvmRedundancyReads = 0;   //!< checksum/parity/diff traffic
-    std::uint64_t nvmRedundancyWrites = 0;
-    std::uint64_t nvmCsumLineAccesses = 0;   //!< subset: checksum lines
-    std::uint64_t nvmParityLineAccesses = 0; //!< subset: parity lines
-    /**@}*/
-
-    /** @name Energy (pJ, by component) */
-    /**@{*/
-    PicoJoules l1Energy = 0;
-    PicoJoules l2Energy = 0;
-    PicoJoules llcEnergy = 0;
-    PicoJoules dramEnergy = 0;
-    PicoJoules nvmEnergy = 0;
-    PicoJoules tvarakEnergy = 0;
-    /**@}*/
-
-    /** @name TVARAK / redundancy events */
-    /**@{*/
-    std::uint64_t readVerifications = 0;    //!< NVM->LLC reads verified
-    std::uint64_t redundancyUpdates = 0;    //!< LLC->NVM writebacks covered
-    std::uint64_t diffCaptures = 0;         //!< data diffs stored in LLC
-    std::uint64_t diffEvictions = 0;        //!< diff-partition evictions
-    std::uint64_t redundancyInvalidations = 0;  //!< MESI invals, ctrl caches
-    std::uint64_t corruptionsDetected = 0;
-    std::uint64_t recoveries = 0;       //!< lines/pages rebuilt from parity
-    /**@}*/
-
-    /** @name Degraded mode / rebuild / scrub (whole-DIMM failure) */
-    /**@{*/
-    std::uint64_t degradedReads = 0;    //!< fills reconstructed via parity
-    std::uint64_t degradedReadsMulti = 0;  //!< ...served with >= 2 DIMMs down
-    std::uint64_t degradedWritesDropped = 0;  //!< writebacks to dead DIMM
-    std::uint64_t degradedRedSkips = 0; //!< csum/parity updates skipped
-    std::uint64_t rebuildLines = 0;     //!< lines restored by RebuildEngine
-    std::uint64_t rebuildRestarts = 0;  //!< rebuilds aborted by a new fault
-    std::uint64_t scrubLines = 0;       //!< lines verified by the scrubber
-    std::uint64_t scrubRepairs = 0;     //!< lines/pages the scrubber fixed
-    /**@}*/
-
-    /** @name Software-scheme events */
-    /**@{*/
-    std::uint64_t swChecksumBytes = 0;      //!< bytes checksummed in sw
-    std::uint64_t txCommits = 0;
-    /**@}*/
+#define TVARAK_STATS_DECLARE(type, member, key) type member = 0;
+    TVARAK_STATS_COUNTERS(TVARAK_STATS_DECLARE)
+#undef TVARAK_STATS_DECLARE
 
     /** Sum of all per-component energies. */
     PicoJoules totalEnergy() const

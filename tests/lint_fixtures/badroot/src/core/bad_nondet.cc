@@ -1,7 +1,7 @@
 // Seeded violations: nondeterminism on a stats-feeding path (R10) —
 // this file's include closure reaches sim/stats.hh — plus the
-// counter increments the stats-dataflow rule (R11) checks against
-// the fixture registry in src/sim/stats.cc.
+// counter references the stats-dataflow rule (R11) checks against
+// the fixture counter table in src/sim/stats.hh.
 #include <cstdlib>
 #include <unordered_set>
 

@@ -8,9 +8,3 @@ lineOffsetOf(std::size_t addr)
 {
     return addr % kLineBytes;
 }
-
-const char *
-statKey()
-{
-    return "cache.l1.misses";
-}

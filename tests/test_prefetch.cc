@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "fs/dax_fs.hh"
 #include "mem/memory_system.hh"
@@ -95,11 +98,27 @@ TEST_F(PrefetchTest, DisabledByConfig)
     EXPECT_EQ(m2.stats().nvmDataReads, 8u);
 }
 
+// The dump keys of TVARAK_STATS_COUNTERS, in table order.
+constexpr const char *kCounterKeys[] = {
+#define TVARAK_TEST_KEY(type, member, key) key,
+    TVARAK_STATS_COUNTERS(TVARAK_TEST_KEY)
+#undef TVARAK_TEST_KEY
+};
+
+/** Sets row i of the counter table to i + 1 (never zero). */
+void
+fillCounters(Stats &s)
+{
+    std::uint64_t v = 0;
+#define TVARAK_TEST_SET(type, member, key) s.member = static_cast<type>(++v);
+    TVARAK_STATS_COUNTERS(TVARAK_TEST_SET)
+#undef TVARAK_TEST_SET
+}
+
 TEST(StatsDump, ContainsEveryFigureQuantity)
 {
     Stats s(2, 4);
-    s.nvmDataReads = 7;
-    s.tvarakCacheAccesses = 3;
+    fillCounters(s);
     std::ostringstream os;
     s.dump(os);
     std::string out = os.str();
@@ -109,7 +128,27 @@ TEST(StatsDump, ContainsEveryFigureQuantity)
           "red.readVerifications", "red.recoveries"}) {
         EXPECT_NE(out.find(key), std::string::npos) << key;
     }
-    EXPECT_NE(out.find("7"), std::string::npos);
+
+    // Every table row prints exactly once, in table order, with its
+    // own value; the key field is 26 columns wide with at least one
+    // space. Only the derived runtime.* rows and energy.total.pJ are
+    // not table rows.
+    std::istringstream is(out);
+    std::string line;
+    std::size_t row = 0;
+    while (std::getline(is, line)) {
+        std::string key = line.substr(0, line.find(' '));
+        std::size_t valueCol = line.find_first_not_of(' ', key.size());
+        EXPECT_EQ(valueCol, std::max<std::size_t>(26, key.size() + 1))
+            << line;
+        if (key.rfind("runtime.", 0) == 0 || key == "energy.total.pJ")
+            continue;
+        ASSERT_LT(row, std::size(kCounterKeys)) << "extra row " << line;
+        EXPECT_EQ(key, kCounterKeys[row]);
+        EXPECT_EQ(line.substr(valueCol), std::to_string(row + 1)) << key;
+        row++;
+    }
+    EXPECT_EQ(row, std::size(kCounterKeys));
 }
 
 TEST(StatsReset, ClearsEverything)
@@ -117,15 +156,31 @@ TEST(StatsReset, ClearsEverything)
     Stats s(2, 4);
     s.threadCycles[1] = 5;
     s.dimmBusyCycles[2] = 9;
-    s.l1Accesses = 3;
-    s.nvmEnergy = 1.5;
-    s.corruptionsDetected = 2;
+    fillCounters(s);
     s.reset();
     EXPECT_EQ(s.runtimeCycles(), 0u);
-    EXPECT_EQ(s.l1Accesses, 0u);
     EXPECT_DOUBLE_EQ(s.totalEnergy(), 0.0);
-    EXPECT_EQ(s.corruptionsDetected, 0u);
+#define TVARAK_TEST_ZERO(type, member, key) \
+    EXPECT_EQ(s.member, type{0}) << #member;
+    TVARAK_STATS_COUNTERS(TVARAK_TEST_ZERO)
+#undef TVARAK_TEST_ZERO
     EXPECT_EQ(s.threadCycles.size(), 2u) << "geometry preserved";
+}
+
+TEST(StatsDiff, NamesTheOneDifferingMember)
+{
+    Stats a(2, 4);
+    fillCounters(a);
+    EXPECT_EQ(statsDiff(a, a), "");
+#define TVARAK_TEST_DIFF(type, member, key)           \
+    {                                                 \
+        Stats b = a;                                  \
+        b.member += 1;                                \
+        std::string d = statsDiff(a, b);              \
+        EXPECT_EQ(d.rfind(#member ": ", 0), 0u) << d; \
+    }
+    TVARAK_STATS_COUNTERS(TVARAK_TEST_DIFF)
+#undef TVARAK_TEST_DIFF
 }
 
 }  // namespace

@@ -50,7 +50,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "apps/trees/pmem_map.hh"
@@ -61,7 +60,10 @@
 #include "redundancy/registry.hh"
 #include "redundancy/scheme.hh"
 #include "sim/log.hh"
+#include "sim/rng.hh"
 #include "trace/trace.hh"
+
+#include "../cli_args.hh"
 
 namespace tvarak::faultcli {
 namespace {
@@ -87,110 +89,13 @@ usage()
     return 2;
 }
 
-// ------------------------------------------------------------------
-// Deterministic PRNG: xoshiro256** seeded via splitmix64, so one
-// 64-bit seed reproduces the whole campaign on any platform.
-// ------------------------------------------------------------------
-class Rng
+/** Uniform in [0, n) as `next() % n`, 0 when @p n is 0. Every
+ *  campaign schedule is drawn this way, so keep it: Rng::nextBounded
+ *  would change every report. */
+std::uint64_t
+below(Rng &rng, std::uint64_t n)
 {
-  public:
-    explicit Rng(std::uint64_t seed)
-    {
-        std::uint64_t x = seed;
-        for (auto &word : s_) {
-            x += 0x9e3779b97f4a7c15ull;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            word = z ^ (z >> 31);
-        }
-    }
-
-    std::uint64_t
-    next()
-    {
-        auto rotl = [](std::uint64_t v, int k) {
-            return (v << k) | (v >> (64 - k));
-        };
-        std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-        std::uint64_t t = s_[1] << 17;
-        s_[2] ^= s_[0];
-        s_[3] ^= s_[1];
-        s_[1] ^= s_[2];
-        s_[0] ^= s_[3];
-        s_[2] ^= t;
-        s_[3] = rotl(s_[3], 45);
-        return result;
-    }
-
-    /** Uniform in [0, n). */
-    std::uint64_t
-    below(std::uint64_t n)
-    {
-        return n == 0 ? 0 : next() % n;
-    }
-
-  private:
-    std::uint64_t s_[4];
-};
-
-// ------------------------------------------------------------------
-// Command-line plumbing (same shape as tvarak-trace).
-// ------------------------------------------------------------------
-struct Args {
-    std::vector<std::string> positional;
-    std::unordered_map<std::string, std::string> flags;
-};
-
-bool
-parseArgs(const std::vector<std::string> &raw,
-          const std::vector<std::string> &valueFlags,
-          const std::vector<std::string> &boolFlags, Args &out)
-{
-    auto listed = [](const std::vector<std::string> &list,
-                     const std::string &k) {
-        for (const auto &f : list)
-            if (f == k)
-                return true;
-        return false;
-    };
-    for (std::size_t i = 0; i < raw.size(); i++) {
-        const std::string &a = raw[i];
-        if (a.rfind("--", 0) != 0) {
-            out.positional.push_back(a);
-            continue;
-        }
-        std::string key = a;
-        std::string val;
-        bool hasVal = false;
-        if (auto eq = a.find('='); eq != std::string::npos) {
-            key = a.substr(0, eq);
-            val = a.substr(eq + 1);
-            hasVal = true;
-        }
-        if (listed(boolFlags, key)) {
-            if (hasVal)
-                return false;
-            out.flags[key] = "1";
-            continue;
-        }
-        if (!listed(valueFlags, key))
-            return false;
-        if (!hasVal) {
-            if (i + 1 >= raw.size())
-                return false;
-            val = raw[++i];
-        }
-        out.flags[key] = val;
-    }
-    return true;
-}
-
-bool
-parseArgs(const std::vector<std::string> &raw,
-          const std::vector<std::string> &valueFlags, Args &out)
-{
-    return parseArgs(raw, valueFlags, {}, out);
+    return n == 0 ? 0 : rng.next() % n;
 }
 
 std::uint64_t
@@ -202,20 +107,6 @@ parseU64(const std::string &s, bool allowZero)
                  (!allowZero && v == 0),
              "bad number '%s'", s.c_str());
     return v;
-}
-
-const Design &
-parseDesign(const std::string &s)
-{
-    const Design *d = findDesign(s);
-    if (d == nullptr) {
-        std::fprintf(stderr,
-                     "tvarak-fault: unknown design '%s' "
-                     "(registered: %s)\n",
-                     s.c_str(), registeredNameList().c_str());
-        std::exit(2);
-    }
-    return *d;
 }
 
 // ------------------------------------------------------------------
@@ -507,8 +398,8 @@ MapCampaign::schedule()
     std::size_t hi = ops_ - ops_ / 3;  // leave room for the rebuild
     for (std::size_t i = 0; i < nEvents_; i++) {
         ScheduledFault f;
-        f.op = lo + static_cast<std::size_t>(rng_.below(hi - lo));
-        f.kind = pool[rng_.below(pool.size())];
+        f.op = lo + static_cast<std::size_t>(below(rng_, hi - lo));
+        f.kind = pool[below(rng_, pool.size())];
         if (f.kind == FaultKind::DimmLoss) {
             // RAID-5: one simultaneous device fault.
             if (haveDimmLoss)
@@ -610,7 +501,7 @@ MapCampaign::getCheck(std::uint64_t key, bool expectCorrect)
 void
 MapCampaign::probe(std::size_t op)
 {
-    std::uint64_t key = rng_.below(keys_);
+    std::uint64_t key = below(rng_, keys_);
     if (!getCheck(key, true)) {
         warn("silent wrong read of key %llu at op %zu",
              static_cast<unsigned long long>(key), op);
@@ -761,7 +652,7 @@ MapCampaign::lineBugEvent(std::size_t op, FaultKind kind)
     // page re-reads are safe.
     drainScheme();
 
-    std::uint64_t vk = rng_.below(keys_);
+    std::uint64_t vk = below(rng_, keys_);
     Addr g = lineOfKey(vk);
     auto &nvm = mem_.nvmArray();
     auto &dimm = nvm.dimm(nvm.dimmOf(g));
@@ -826,7 +717,7 @@ MapCampaign::lineBugEvent(std::size_t op, FaultKind kind)
       }
       case FaultKind::BitFlip: {
         unsigned bit = static_cast<unsigned>(
-            rng_.below(kLineBytes * CHAR_BIT));
+            below(rng_, kLineBytes * CHAR_BIT));
         mem_.flushAll();
         if (design_->faultDetection() == FaultDetection::None) {
             // The one fault class the baseline *does* catch: device
@@ -869,7 +760,7 @@ MapCampaign::dimmLossEvent(std::size_t op)
     mem_.flushAll();
     fs_.scrub(true);
     failedDimm_ = static_cast<std::size_t>(
-        rng_.below(mem_.nvmArray().numDimms()));
+        below(rng_, mem_.nvmArray().numDimms()));
     mem_.failDimm(failedDimm_);
     mem_.dropCaches();  // every later read of the DIMM reconstructs
     replaceAtOp_ = op + std::max<std::size_t>(ops_ / 6, 8);
@@ -1002,7 +893,7 @@ MapCampaign::run()
         bool writesAllowed =
             !degraded() || design_->absorbsWritesWhileDegraded();
         if (writesAllowed) {
-            std::uint64_t k = rng_.below(keys_);
+            std::uint64_t k = below(rng_, keys_);
             updateKey(k, version_[k] + 1);
         } else {
             rng_.next();  // keep the draw stream aligned
@@ -1057,17 +948,17 @@ MapCampaign::report(Json &json) const
 int
 cmdMap(const std::vector<std::string> &raw)
 {
-    Args a;
-    if (!parseArgs(raw,
-                   {"--seed", "--design", "--ops", "--keys",
-                    "--events", "--out"},
-                   a) ||
+    cli::Args a;
+    if (!cli::parseArgs(raw,
+                        {"--seed", "--design", "--ops", "--keys",
+                         "--events", "--out"},
+                        {}, a) ||
         !a.positional.empty() || a.flags.count("--seed") == 0) {
         return usage();
     }
     std::uint64_t seed = parseU64(a.flags.at("--seed"), true);
     const Design &design = a.flags.count("--design") != 0
-        ? parseDesign(a.flags.at("--design"))
+        ? cli::parseDesign("tvarak-fault", a.flags.at("--design"))
         : designOf(DesignKind::Tvarak);
     auto flagOr = [&](const char *key, std::uint64_t dflt) {
         return a.flags.count(key) != 0 ? parseU64(a.flags.at(key), false)
@@ -1114,14 +1005,14 @@ imageHash(NvmArray &nvm)
 int
 cmdReplay(const std::vector<std::string> &raw)
 {
-    Args a;
-    if (!parseArgs(raw, {"--seed", "--design", "--out"}, a) ||
+    cli::Args a;
+    if (!cli::parseArgs(raw, {"--seed", "--design", "--out"}, {}, a) ||
         a.positional.size() != 1 || a.flags.count("--seed") == 0) {
         return usage();
     }
     const Design *design = &designOf(DesignKind::Tvarak);
     if (a.flags.count("--design") != 0)
-        design = &parseDesign(a.flags.at("--design"));
+        design = &cli::parseDesign("tvarak-fault", a.flags.at("--design"));
     if (!(design->absorbsWritesWhileDegraded() &&
           design->maintainsMappedParity())) {
         std::fprintf(
@@ -1164,11 +1055,11 @@ cmdReplay(const std::vector<std::string> &raw)
     // later, rebuild online while the replay keeps running.
     std::size_t failPass =
         1 + static_cast<std::size_t>(
-                rng.below(std::max<std::size_t>(passes / 2, 1)));
+                below(rng, std::max<std::size_t>(passes / 2, 1)));
     std::size_t replacePass = failPass +
         std::max<std::size_t>(passes / 6, 1);
     std::size_t dimm = static_cast<std::size_t>(
-        rng.below(trace->cfg.nvm.dimms));
+        below(rng, trace->cfg.nvm.dimms));
     inform("faulted replay: fail dimm %zu at pass %zu/%zu, replace at "
            "pass %zu ...",
            dimm, failPass, passes, replacePass);
@@ -1299,8 +1190,8 @@ class MultiCampaign
         Rng rng(seed_);
         seq_.resize(ops_);
         for (OpSpec &op : seq_) {
-            op.updateKey = rng.below(keys_);
-            op.probeKey = rng.below(keys_);
+            op.updateKey = below(rng, keys_);
+            op.probeKey = below(rng, keys_);
         }
     }
 
@@ -1730,17 +1621,17 @@ parseFailDimms(const std::string &spec, bool refail,
 int
 cmdMulti(const std::vector<std::string> &raw)
 {
-    Args a;
-    if (!parseArgs(raw,
-                   {"--seed", "--design", "--ops", "--keys",
-                    "--fail-dimms", "--out"},
-                   {"--refail"}, a) ||
+    cli::Args a;
+    if (!cli::parseArgs(raw,
+                        {"--seed", "--design", "--ops", "--keys",
+                         "--fail-dimms", "--out"},
+                        {"--refail"}, a) ||
         !a.positional.empty() || a.flags.count("--seed") == 0) {
         return usage();
     }
     std::uint64_t seed = parseU64(a.flags.at("--seed"), true);
     const Design &design = a.flags.count("--design") != 0
-        ? parseDesign(a.flags.at("--design"))
+        ? cli::parseDesign("tvarak-fault", a.flags.at("--design"))
         : designOf(DesignKind::Tvarak);
     if (!(design.absorbsWritesWhileDegraded() &&
           design.maintainsMappedParity())) {

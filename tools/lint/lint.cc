@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -478,91 +477,6 @@ ruleR1(const SourceFile &f, std::vector<Finding> &out)
                      " in address math; use kLineBytes / kPageBytes / "
                      "kChecksumBytes / kChecksumsPerLine "
                      "(sim/types.hh) or a named constant"});
-        }
-    }
-}
-
-// ---------------------------------------------------------------- R2
-
-bool
-isStatKey(const std::string &raw)
-{
-    std::string s = raw;
-    s.erase(0, s.find_first_not_of(" \t"));
-    s.erase(s.find_last_not_of(" \t") + 1);
-    if (s.empty() ||
-        !std::islower(static_cast<unsigned char>(s[0])))
-        return false;
-    bool sawDot = false;
-    char prev = '\0';
-    for (char c : s) {
-        if (c == '.') {
-            if (prev == '.' || prev == '\0')
-                return false;
-            sawDot = true;
-        } else if (!std::isalnum(static_cast<unsigned char>(c)) &&
-                   c != '_') {
-            return false;
-        }
-        prev = c;
-    }
-    return sawDot && prev != '.';
-}
-
-std::string
-trimmedKey(const std::string &raw)
-{
-    std::string s = raw;
-    s.erase(0, s.find_first_not_of(" \t"));
-    s.erase(s.find_last_not_of(" \t") + 1);
-    return s;
-}
-
-void
-ruleR2(const std::vector<SourceFile> &files, std::vector<Finding> &out)
-{
-    const SourceFile *registry = nullptr;
-    for (const SourceFile &f : files)
-        if (f.path.ends_with("sim/stats.cc"))
-            registry = &f;
-    if (!registry)
-        return;
-
-    std::map<std::string, std::vector<std::size_t>> registered;
-    std::set<std::string> namespaces;
-    for (const auto &lit : registry->strings) {
-        if (!isStatKey(lit.value))
-            continue;
-        std::string key = trimmedKey(lit.value);
-        registered[key].push_back(lit.line);
-        namespaces.insert(key.substr(0, key.find('.')));
-    }
-
-    for (const auto &[key, lines] : registered) {
-        if (lines.size() > 1 && !registry->allows("R2", lines[1]))
-            out.push_back({registry->path, lines[1], "R2",
-                           "stats key '" + key + "' registered " +
-                               std::to_string(lines.size()) +
-                               " times in Stats::dump (first at line " +
-                               std::to_string(lines[0]) + ")"});
-    }
-
-    for (const SourceFile &f : files) {
-        if (&f == registry)
-            continue;
-        for (const auto &lit : f.strings) {
-            if (!isStatKey(lit.value))
-                continue;
-            std::string key = trimmedKey(lit.value);
-            std::string ns = key.substr(0, key.find('.'));
-            if (!namespaces.count(ns) || registered.count(key))
-                continue;
-            if (f.allows("R2", lit.line))
-                continue;
-            out.push_back({f.path, lit.line, "R2",
-                           "stats key '" + key +
-                               "' is not registered in Stats::dump "
-                               "(src/sim/stats.cc) — typo-split counter?"});
         }
     }
 }
@@ -1124,7 +1038,6 @@ run(const Options &opts)
     std::vector<Finding> out;
     for (const std::vector<Finding> &pf : perFile)
         out.insert(out.end(), pf.begin(), pf.end());
-    ruleR2(sources, out);
     ruleR3(opts, out);
 
     // Whole-repo pass: include graph + symbol/use tables (R9..R13).

@@ -9,9 +9,6 @@
  *   R1  No naked 64/4096/8-style geometry literals in address math;
  *       use kLineBytes / kPageBytes / kChecksumBytes /
  *       kChecksumsPerLine from sim/types.hh.
- *   R2  Every stats-counter key string is registered exactly once in
- *       src/sim/stats.cc, and every reference elsewhere names a
- *       registered key (catches typo-split counters).
  *   R3  Every config field in src/sim/config.hh appears in the
  *       bench_table3 parameter dump and in DESIGN.md §6
  *       (config-docs drift check).
@@ -48,11 +45,15 @@
  *   R10 Determinism hazards (rand(), std::random_device, wall-clock
  *       reads, unordered-container iteration, pointer-keyed maps) on
  *       any path that feeds Stats, trace output or campaign JSON.
- *   R11 Stats dataflow: counters incremented but never reported, or
- *       reported but never incremented.
+ *   R11 Stats dataflow: every row of the Stats counter table
+ *       (src/sim/stats.hh) is referenced somewhere in src/ outside
+ *       sim/stats.*; an unreferenced counter can only ever print 0.
  *   R12 Config-knob drift: SimConfig fields never read (or set but
  *       never read) by the simulator.
  *   R13 Lock discipline: naked lock()/unlock() in src/harness/.
+ *
+ * Rule ids are stable: R2 (the stats-key registry) is retired, and
+ * its id is not reused.
  *
  * A finding on line N is suppressed by `// lint:allow(R#)` (comma
  * lists allowed) on line N or on the line directly above it.
@@ -67,6 +68,30 @@
 
 namespace tvarak::lint {
 
+/** One rule: its id and a one-line summary. */
+struct RuleInfo {
+    const char *id;
+    const char *summary;
+};
+
+/** Every rule the analyzer runs, in SARIF ruleIndex order. The SARIF
+ *  rules array and the --self-test coverage check both read it. */
+inline constexpr RuleInfo kRules[] = {
+    {"R1", "No naked geometry literals in address math"},
+    {"R3", "Config fields documented in bench_table3 and DESIGN.md"},
+    {"R4", "Header hygiene: guards, no using namespace at header scope"},
+    {"R5", "Timing/energy constants live in sim/config.hh"},
+    {"R6", "Raw threading confined to src/harness/"},
+    {"R7", "Binary file I/O confined to trace/harness/tools"},
+    {"R8", "DesignKind dispatch confined to the design registry"},
+    {"R9", "Include edges follow the architecture layering DAG"},
+    {"R10", "No nondeterminism on stats/report-feeding paths"},
+    {"R11", "Stats counter table rows referenced outside sim/stats.*"},
+    {"R12", "Config knobs read by the simulator, not just declared"},
+    {"R13", "No naked lock()/unlock() in the harness"},
+    {"R14", "SIMD intrinsics confined to src/kernels/"},
+};
+
 /** One rule violation. */
 struct Finding {
     std::string file;    //!< path as reported (relative to root)
@@ -79,8 +104,8 @@ struct Finding {
 };
 
 struct Options {
-    /** Repo root; R2/R3 registry artifacts (src/sim/stats.cc,
-     *  src/sim/config.hh, bench/bench_table3.cc, DESIGN.md) are
+    /** Repo root; the R3/R11 artifacts (src/sim/config.hh,
+     *  bench/bench_table3.cc, DESIGN.md, src/sim/stats.hh) are
      *  located relative to it. */
     std::filesystem::path root;
     /** Directories (or files), relative to root, to scan.

@@ -14,7 +14,8 @@
  *
  *   tvarak-lint --self-test DIR
  *       DIR must hold `goodroot/` (expected clean) and `badroot/`
- *       (expected to trip every rule R1..R14). Exit 0 iff both hold.
+ *       (expected to trip every rule in kRules). Exit 0 iff both
+ *       hold.
  *
  * Exit codes: 0 clean (all findings baselined), 1 findings, 2 usage
  * or I/O error.
@@ -25,6 +26,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -71,19 +73,18 @@ selfTest(const fs::path &dir)
     std::set<std::string> hit;
     for (const Finding &f : run(bad))
         hit.insert(f.rule);
-    for (const char *rule :
-         {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10",
-          "R11", "R12", "R13", "R14"}) {
-        if (!hit.count(rule)) {
+    for (const RuleInfo &rule : kRules) {
+        if (!hit.count(rule.id)) {
             std::fprintf(stderr,
-                         "self-test: badroot did not trip %s\n", rule);
+                         "self-test: badroot did not trip %s\n", rule.id);
             failures++;
         }
     }
 
     if (failures == 0) {
         std::printf("tvarak-lint self-test: OK "
-                    "(goodroot clean, badroot trips R1..R14)\n");
+                    "(goodroot clean, badroot trips all %zu rules)\n",
+                    std::size(kRules));
         return 0;
     }
     return 1;

@@ -11,9 +11,9 @@
  *       unordered containers, and pointer-keyed ordered containers in
  *       any file whose include closure reaches sim/stats.hh (or that
  *       lives under tools/fault/, tools/trace/ or bench/).
- *   R11 stats dataflow: every Stats counter must be reported by
- *       Stats::dump and incremented somewhere in src/ (and appear in
- *       reset()/statsDiff() when those exist).
+ *   R11 stats dataflow: every row of the Stats counter table in
+ *       src/sim/stats.hh must be referenced somewhere in src/ outside
+ *       sim/stats.*; a counter nothing touches can only print 0.
  *   R12 config-knob drift: every config field must be read somewhere
  *       in src/ outside sim/config.* — knobs that are dead, or set
  *       but never consulted, silently diverge from the tables.
@@ -22,7 +22,6 @@
  */
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -273,99 +272,13 @@ ruleR10(const RepoModel &m, std::vector<Finding> &out)
 
 // --------------------------------------------------------------- R11
 
-/** Idents appearing in the body of every `name(...) ... {` function
- *  definition in @p toks, keyed by function name. */
-std::map<std::string, std::set<std::string>>
-functionBodyIdents(const std::vector<Tok> &toks)
-{
-    std::map<std::string, std::set<std::string>> bodies;
-    for (std::size_t i = 0; i + 1 < toks.size(); i++) {
-        if (toks[i].kind != Tok::Ident || toks[i + 1].kind != Tok::Punct ||
-            toks[i + 1].text != "(")
-            continue;
-        static const std::set<std::string> kKeywords = {
-            "if", "for", "while", "switch", "catch", "return", "sizeof",
-        };
-        if (kKeywords.count(toks[i].text))
-            continue;
-        // Match the parameter list.
-        std::size_t j = i + 1;
-        int depth = 0;
-        for (; j < toks.size(); j++) {
-            if (toks[j].kind != Tok::Punct)
-                continue;
-            if (toks[j].text == "(")
-                depth++;
-            else if (toks[j].text == ")" && --depth == 0) {
-                j++;
-                break;
-            }
-        }
-        while (j < toks.size() && toks[j].kind == Tok::Ident &&
-               (toks[j].text == "const" || toks[j].text == "noexcept" ||
-                toks[j].text == "override"))
-            j++;
-        if (j >= toks.size() || toks[j].kind != Tok::Punct ||
-            toks[j].text != "{")
-            continue;
-        // Capture body idents.
-        std::set<std::string> &idents = bodies[toks[i].text];
-        depth = 0;
-        for (; j < toks.size(); j++) {
-            if (toks[j].kind == Tok::Punct && toks[j].text == "{")
-                depth++;
-            else if (toks[j].kind == Tok::Punct && toks[j].text == "}") {
-                if (--depth == 0)
-                    break;
-            } else if (toks[j].kind == Tok::Ident) {
-                idents.insert(toks[j].text);
-            }
-        }
-    }
-    return bodies;
-}
-
 void
 ruleR11(const RepoModel &m, std::vector<Finding> &out)
 {
     auto hdrIt = m.byPath.find("src/sim/stats.hh");
-    auto srcIt = m.byPath.find("src/sim/stats.cc");
-    if (hdrIt == m.byPath.end() || srcIt == m.byPath.end())
+    if (hdrIt == m.byPath.end())
         return;
     const SourceFile &hdr = m.files[hdrIt->second];
-    const SourceFile &src = m.files[srcIt->second];
-
-    std::vector<ConfigField> fields;
-    for (const ConfigField &fld : parseConfigFields(hdr))
-        if (fld.structName == "Stats")
-            fields.push_back(fld);
-    if (fields.empty())
-        return;
-
-    std::map<std::string, std::set<std::string>> bodies =
-        functionBodyIdents(tokenizeFile(src.code));
-    if (!bodies.count("dump"))
-        return;
-
-    // "Reported" = reachable from dump()'s body through helper
-    // functions defined in stats.cc (runtimeCycles -> maxThreadCycles
-    // -> threadCycles).
-    std::set<std::string> reported;
-    std::vector<std::string> work{"dump"};
-    std::set<std::string> visited;
-    while (!work.empty()) {
-        std::string fn = work.back();
-        work.pop_back();
-        if (!visited.insert(fn).second)
-            continue;
-        auto it = bodies.find(fn);
-        if (it == bodies.end())
-            continue;
-        for (const std::string &id : it->second) {
-            reported.insert(id);
-            work.push_back(id);
-        }
-    }
 
     // "Used" = the ident appears in some src/ file other than the
     // stats pair itself (the increment sites).
@@ -379,33 +292,27 @@ ruleR11(const RepoModel &m, std::vector<Finding> &out)
                 used.insert(t.text);
     }
 
-    for (const ConfigField &fld : fields) {
-        if (hdr.allows("R11", fld.line))
+    // Counter table rows: X(type, member, "key").
+    std::vector<Tok> toks = tokenizeFile(hdr.code);
+    for (std::size_t i = 0; i + 1 < toks.size(); i++) {
+        if (toks[i].text != "X" || toks[i + 1].text != "(")
             continue;
-        bool isReported = reported.count(fld.name);
-        bool isUsed = used.count(fld.name);
-        if (isUsed && !isReported) {
-            out.push_back({hdr.path, fld.line, "R11",
-                           "stats counter '" + fld.name +
-                               "' is incremented but never reported by "
-                               "Stats::dump — the result silently drops "
-                               "it"});
-        } else if (isReported && !isUsed) {
-            out.push_back({hdr.path, fld.line, "R11",
-                           "stats counter '" + fld.name +
-                               "' is reported by Stats::dump but never "
-                               "incremented anywhere in src/ — it can "
-                               "only ever print 0"});
+        const Tok *member = nullptr;
+        int commas = 0;
+        for (std::size_t j = i + 2; j < toks.size() && toks[j].text != ")";
+             j++) {
+            if (toks[j].text == ",")
+                commas++;
+            else if (commas == 1 && toks[j].kind == Tok::Ident)
+                member = &toks[j];
         }
-        for (const char *fn : {"reset", "statsDiff"}) {
-            auto it = bodies.find(fn);
-            if (it != bodies.end() && !it->second.count(fld.name))
-                out.push_back({hdr.path, fld.line, "R11",
-                               "stats counter '" + fld.name +
-                                   "' is missing from " + fn +
-                                   "() — stale values survive "
-                                   "reset/compare"});
-        }
+        if (member == nullptr || used.count(member->text) ||
+            hdr.allows("R11", member->line))
+            continue;
+        out.push_back({hdr.path, member->line, "R11",
+                       "stats counter '" + member->text +
+                           "' is never referenced in src/ outside "
+                           "sim/stats.* — it can only ever print 0"});
     }
 }
 

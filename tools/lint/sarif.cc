@@ -5,28 +5,10 @@
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 namespace tvarak::lint {
 
 namespace {
-
-/** Rule metadata embedded in the SARIF tool.driver.rules array. */
-const std::pair<const char *, const char *> kRules[] = {
-    {"R1", "No naked geometry literals in address math"},
-    {"R2", "Stats keys registered exactly once in Stats::dump"},
-    {"R3", "Config fields documented in bench_table3 and DESIGN.md"},
-    {"R4", "Header hygiene: guards, no using namespace at header scope"},
-    {"R5", "Timing/energy constants live in sim/config.hh"},
-    {"R6", "Raw threading confined to src/harness/"},
-    {"R7", "Binary file I/O confined to trace/harness/tools"},
-    {"R8", "DesignKind dispatch confined to the design registry"},
-    {"R9", "Include edges follow the architecture layering DAG"},
-    {"R10", "No nondeterminism on stats/report-feeding paths"},
-    {"R11", "Stats counters both incremented and reported"},
-    {"R12", "Config knobs read by the simulator, not just declared"},
-    {"R13", "No naked lock()/unlock() in the harness"},
-};
 
 std::string
 jsonEscape(const std::string &s)
@@ -57,7 +39,7 @@ std::size_t
 ruleIndexOf(const std::string &rule)
 {
     for (std::size_t i = 0; i < std::size(kRules); i++)
-        if (rule == kRules[i].first)
+        if (rule == kRules[i].id)
             return i;
     return 0;
 }
@@ -107,9 +89,9 @@ toSarif(const std::vector<Finding> &findings,
        << "          \"name\": \"tvarak-lint\",\n"
        << "          \"rules\": [\n";
     for (std::size_t i = 0; i < std::size(kRules); i++) {
-        os << "            {\"id\": \"" << kRules[i].first
+        os << "            {\"id\": \"" << kRules[i].id
            << "\", \"shortDescription\": {\"text\": \""
-           << jsonEscape(kRules[i].second) << "\"}}"
+           << jsonEscape(kRules[i].summary) << "\"}}"
            << (i + 1 < std::size(kRules) ? "," : "") << "\n";
     }
     os << "          ]\n"

@@ -12,7 +12,7 @@
  * blank lines allowed). Baselined findings still appear in the SARIF
  * document — marked `suppressions: [{kind: "external"}]` — but do not
  * fail the run. The repo ships with an empty baseline: the tree is
- * clean under R1..R14.
+ * clean under every rule in kRules.
  */
 
 #pragma once

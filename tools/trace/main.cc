@@ -25,7 +25,6 @@
 #include <cstring>
 #include <string>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -35,6 +34,8 @@
 #include "redundancy/scheme.hh"
 #include "sim/log.hh"
 #include "trace/trace.hh"
+
+#include "../cli_args.hh"
 
 namespace tvarak::tracecli {
 namespace {
@@ -55,62 +56,6 @@ usage()
     return 2;
 }
 
-/** Parsed command line: positionals plus --key[=| ]value flags. */
-struct Args {
-    std::vector<std::string> positional;
-    std::unordered_map<std::string, std::string> flags;
-    std::unordered_set<std::string> switches;
-};
-
-bool
-parseArgs(const std::vector<std::string> &raw,
-          const std::vector<std::string> &valueFlags,
-          const std::vector<std::string> &switchFlags, Args &out)
-{
-    auto isValueFlag = [&](const std::string &k) {
-        for (const auto &f : valueFlags)
-            if (f == k)
-                return true;
-        return false;
-    };
-    auto isSwitch = [&](const std::string &k) {
-        for (const auto &f : switchFlags)
-            if (f == k)
-                return true;
-        return false;
-    };
-    for (std::size_t i = 0; i < raw.size(); i++) {
-        const std::string &a = raw[i];
-        if (a.rfind("--", 0) != 0) {
-            out.positional.push_back(a);
-            continue;
-        }
-        std::string key = a;
-        std::string val;
-        bool hasVal = false;
-        if (auto eq = a.find('='); eq != std::string::npos) {
-            key = a.substr(0, eq);
-            val = a.substr(eq + 1);
-            hasVal = true;
-        }
-        if (isSwitch(key)) {
-            if (hasVal)
-                return false;
-            out.switches.insert(key);
-            continue;
-        }
-        if (!isValueFlag(key))
-            return false;
-        if (!hasVal) {
-            if (i + 1 >= raw.size())
-                return false;
-            val = raw[++i];
-        }
-        out.flags[key] = val;
-    }
-    return true;
-}
-
 std::size_t
 parseCount(const std::string &s)
 {
@@ -119,20 +64,6 @@ parseCount(const std::string &s)
     fatal_if(s.empty() || end == nullptr || *end != '\0' || v == 0,
              "bad count '%s'", s.c_str());
     return static_cast<std::size_t>(v);
-}
-
-const Design &
-parseDesign(const std::string &s)
-{
-    const Design *d = findDesign(s);
-    if (d == nullptr) {
-        std::fprintf(stderr,
-                     "tvarak-trace: unknown design '%s' "
-                     "(registered: %s)\n",
-                     s.c_str(), registeredNameList().c_str());
-        std::exit(2);
-    }
-    return *d;
 }
 
 /** The canned machine: Table III, NVM sized for the canned workloads. */
@@ -239,8 +170,8 @@ printRunResult(const RunResult &r)
 int
 cmdRecord(const std::vector<std::string> &raw)
 {
-    Args a;
-    if (!parseArgs(raw, {"--scale", "--design"}, {}, a) ||
+    cli::Args a;
+    if (!cli::parseArgs(raw, {"--scale", "--design"}, {}, a) ||
         a.positional.size() != 2) {
         return usage();
     }
@@ -250,7 +181,7 @@ cmdRecord(const std::vector<std::string> &raw)
         ? parseCount(a.flags.at("--scale"))
         : 1;
     const Design &design = a.flags.count("--design") != 0
-        ? parseDesign(a.flags.at("--design"))
+        ? cli::parseDesign("tvarak-trace", a.flags.at("--design"))
         : *findDesign("baseline");
 
     std::string name = id + "@" + std::to_string(scale);
@@ -271,8 +202,8 @@ cmdRecord(const std::vector<std::string> &raw)
 int
 cmdInfo(const std::vector<std::string> &raw)
 {
-    Args a;
-    if (!parseArgs(raw, {}, {}, a) || a.positional.size() != 1)
+    cli::Args a;
+    if (!cli::parseArgs(raw, {}, {}, a) || a.positional.size() != 1)
         return usage();
     auto t = loadOrDie(a.positional[0]);
     std::printf("trace            %s\n", a.positional[0].c_str());
@@ -299,8 +230,8 @@ cmdInfo(const std::vector<std::string> &raw)
 int
 cmdStat(const std::vector<std::string> &raw)
 {
-    Args a;
-    if (!parseArgs(raw, {}, {}, a) || a.positional.size() != 1)
+    cli::Args a;
+    if (!cli::parseArgs(raw, {}, {}, a) || a.positional.size() != 1)
         return usage();
     auto t = loadOrDie(a.positional[0]);
 
@@ -395,13 +326,14 @@ cmdStat(const std::vector<std::string> &raw)
 int
 cmdReplay(const std::vector<std::string> &raw)
 {
-    Args a;
-    if (!parseArgs(raw, {"--design"}, {"--verify"}, a) ||
+    cli::Args a;
+    if (!cli::parseArgs(raw, {"--design"}, {"--verify"}, a) ||
         a.positional.size() != 1 || a.flags.count("--design") == 0) {
         return usage();
     }
     auto t = loadOrDie(a.positional[0]);
-    const Design &design = parseDesign(a.flags.at("--design"));
+    const Design &design =
+        cli::parseDesign("tvarak-trace", a.flags.at("--design"));
 
     inform("replaying %s (%llu events) under %s ...",
            t->workloadName.c_str(),
@@ -410,7 +342,7 @@ cmdReplay(const std::vector<std::string> &raw)
     RunResult replayed = trace::replayExperiment(t, design);
     printRunResult(replayed);
 
-    if (a.switches.count("--verify") == 0)
+    if (a.flags.count("--verify") == 0)
         return 0;
     std::string id;
     std::size_t scale = 1;
