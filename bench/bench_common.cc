@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "kernels/kernels.hh"
 #include "trace/trace.hh"
 
 namespace tvarak::bench {
@@ -36,7 +35,7 @@ usageError(const char *prog, const char *msg, const char *arg)
                  arg ? arg : "");
     std::fprintf(stderr,
                  "usage: %s [--scale N] [--jobs N] [--json]"
-                 " [--design NAME]... [--kernel NAME]"
+                 " [--design NAME]..."
                  " [--trace-record F | --trace-replay F]%s\n",
                  prog, gExtraUsage.c_str());
     std::exit(2);
@@ -207,23 +206,9 @@ parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
                 }
             }
             args.designs.push_back(d);
-        } else if (matchesFlag(argv[i], "--kernel")) {
-            std::string name =
-                flagValue(argv[0], "--kernel", argc, argv, i);
-            if (!kernels::selectBackend(name)) {
-                std::string msg = "unknown or unavailable kernel "
-                                  "backend '" +
-                    name + "' (this host: scalar";
-                if (kernels::backendAvailable(kernels::Backend::Sse42))
-                    msg += ", sse42";
-                if (kernels::backendAvailable(kernels::Backend::Avx2))
-                    msg += ", avx2";
-                msg += ", auto)";
-                usageError(argv[0], msg.c_str(), nullptr);
-            }
         } else if (std::strcmp(argv[i], "--help") == 0) {
             std::printf("%s\nusage: %s [--scale N] [--jobs N] [--json]"
-                        " [--design NAME]... [--kernel NAME]"
+                        " [--design NAME]..."
                         " [--trace-record F | --trace-replay F]%s\n"
                         "  --scale N  workload size multiplier "
                         "(default 1)\n"
@@ -232,9 +217,6 @@ parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
                         "  --json     write results/bench_%s.json\n"
                         "  --design NAME  sweep only the named design "
                         "(repeatable; registered: %s)\n"
-                        "  --kernel NAME  force the data-plane kernel "
-                        "backend (scalar, sse42, avx2, auto); results "
-                        "are bit-identical, only wall-clock changes\n"
                         "  --trace-record F  record once under Baseline "
                         "into F, replay the other designs\n"
                         "  --trace-replay F  replay every design from a "

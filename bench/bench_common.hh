@@ -29,12 +29,8 @@
  *                      added automatically as the normalization
  *                      reference. Default: the four paper designs.
  *
- *   --kernel NAME      force the data-plane kernel backend (scalar,
- *                      sse42, avx2, or auto for the best this host
- *                      supports; also settable via TVARAK_KERNEL).
- *                      Simulated results are bit-identical across
- *                      backends — only the simulator's own wall-clock
- *                      changes.
+ * There is no kernel-backend flag: src/kernels/ picks AVX2 or scalar
+ * once by CPUID, and simulated results do not depend on the choice.
  *
  * Unknown flags and malformed values are usage errors (exit 2) — a
  * typo must never silently run the wrong experiment.

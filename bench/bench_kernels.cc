@@ -5,10 +5,10 @@
  * measure *host* throughput of the kernels (they justify the
  * swChecksumBytesPerCycle compute model used for the TxB schemes).
  *
- * Each kernel is benchmarked once per compiled backend (scalar,
- * sse42, avx2 — unavailable backends are skipped at registration), so
- * a single run shows the per-backend delta that the runtime dispatch
- * buys on this host.
+ * Each kernel is benchmarked once per backend (scalar, and avx2 when
+ * the CPU has it — unavailable backends are skipped at registration),
+ * so a single run shows the per-backend delta that the runtime
+ * dispatch buys on this host.
  */
 
 #include <benchmark/benchmark.h>
@@ -41,7 +41,7 @@ randomBuf(std::size_t n)
 // ------------------------------------------------------------------
 // Per-backend kernel rows. The benchmarked op goes through the
 // backend's table directly (not the dispatched ops()), so one process
-// reports every compiled backend side by side.
+// reports every available backend side by side.
 // ------------------------------------------------------------------
 
 void
@@ -172,7 +172,7 @@ registerBackendRows()
 }
 
 // ------------------------------------------------------------------
-// Facade rows (dispatched backend — whatever TVARAK_KERNEL picked).
+// Facade rows (dispatched backend — the best this CPU supports).
 // ------------------------------------------------------------------
 
 void
@@ -196,17 +196,6 @@ BM_Crc32cPage(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * kPageBytes));
 }
 BENCHMARK(BM_Crc32cPage);
-
-void
-BM_Fletcher64Page(benchmark::State &state)
-{
-    auto buf = randomBuf(kPageBytes);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(fletcher64(buf.data(), buf.size()));
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations() * kPageBytes));
-}
-BENCHMARK(BM_Fletcher64Page);
 
 void
 BM_XorLine(benchmark::State &state)

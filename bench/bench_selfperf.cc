@@ -9,12 +9,13 @@
  *   stream-triad   streaming fills -> Cache::insert + prefetch path
  *   ctree-insert   pointer chasing -> accessLine hit path + LRU churn
  *
- * Runs each under Baseline and TVARAK, once per compiled kernel
- * backend (the JSON reports the per-backend simulator-speed delta;
- * pinning a non-best backend via --kernel/TVARAK_KERNEL measures just
- * that one). --jobs is accepted for flag uniformity but measurement
- * is always sequential: co-scheduled experiments would steal cycles
- * from each other and corrupt the per-experiment wall times.
+ * Runs each under Baseline and TVARAK, once per kernel backend this
+ * CPU supports, and reports each backend's simulator speed. Backends
+ * must simulate the same machine: if any (workload, design) row's
+ * Stats differ between them, the bench exits 1. --jobs is accepted
+ * for flag uniformity but measurement is always sequential:
+ * co-scheduled experiments would steal cycles from each other and
+ * corrupt the per-experiment wall times.
  */
 
 #include <chrono>
@@ -22,6 +23,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
 
 #include "apps/stream/stream.hh"
 #include "apps/trees/tree_workload.hh"
@@ -161,34 +163,25 @@ main(int argc, char **argv)
                 "design", "kernel", "sim Mcycles", "wall s",
                 "Mcycles/sec");
 
-    // The full matrix runs once per compiled kernel backend, so the
-    // JSON carries the per-backend simulator-speed delta. The entries
-    // block (consumed by scripts/perf_compare.py) records the run
-    // under the *active* backend — whatever --kernel/TVARAK_KERNEL
-    // picked, best-available by default.
-    kernels::Backend active = kernels::activeBackend();
-    std::vector<kernels::Backend> sweep;
-    if (active != kernels::bestBackend()) {
-        // A weaker backend was pinned (--kernel / TVARAK_KERNEL):
-        // measure just that one — CI's identity legs want speed, not
-        // the cross-backend report.
-        sweep.push_back(active);
-    } else {
-        for (std::size_t i = 0; i < kernels::kBackendCount; i++) {
-            auto b = static_cast<kernels::Backend>(i);
-            if (kernels::backendAvailable(b))
-                sweep.push_back(b);
-        }
-    }
-
+    // The full matrix runs once per available kernel backend, in
+    // ascending preference order, so the best one is active when the
+    // loop ends. The entries block (consumed by scripts/perf_compare.py)
+    // records the best backend's run.
+    const kernels::Backend best = kernels::bestBackend();
     std::vector<BenchJsonEntry> entries;
     std::vector<BackendTotal> backends;
+    // Each row's Stats under the first backend; the others must match.
+    std::vector<Stats> reference;
+    bool identical = true;
     double totalCycles = 0, totalWall = 0;
-    for (kernels::Backend b : sweep) {
-        kernels::selectBackend(b);
+    for (std::size_t i = 0; i < kernels::kBackendCount; i++) {
+        auto b = static_cast<kernels::Backend>(i);
+        if (!kernels::selectBackend(b))
+            continue;  // this CPU lacks it
         const char *kname = kernels::backendName(b);
         BackendTotal bt;
         bt.kernel = kname;
+        std::size_t row = 0;
         for (const Case &c : cases) {
             for (DesignKind d : designs) {
                 std::fprintf(stderr, "  timing %-16s under %s (%s)...\n",
@@ -204,7 +197,19 @@ main(int argc, char **argv)
                             wall, mcycles / wall);
                 bt.mcycles += mcycles;
                 bt.wall += wall;
-                if (b != active)
+                if (backends.empty()) {
+                    reference.push_back(r.stats);
+                } else if (std::string diff =
+                               statsDiff(reference[row], r.stats);
+                           !diff.empty()) {
+                    std::fprintf(stderr, "MISMATCH %s/%s: %s vs %s: %s\n",
+                                 c.name, designName(d),
+                                 backends.front().kernel.c_str(), kname,
+                                 diff.c_str());
+                    identical = false;
+                }
+                row++;
+                if (b != best)
                     continue;
                 totalCycles += mcycles;
                 totalWall += wall;
@@ -226,9 +231,16 @@ main(int argc, char **argv)
                     bt.wall > 0 ? bt.mcycles / bt.wall : 0.0);
         backends.push_back(std::move(bt));
     }
-    kernels::selectBackend(active);
     writeBenchJson(args, entries);
     writeSelfperfTrajectory(args, entries, backends, totalCycles,
                             totalWall);
+    if (!identical) {
+        std::fprintf(stderr, "FAIL: kernel backends simulated "
+                             "different Stats\n");
+        return 1;
+    }
+    std::printf("identity ok: %zu rows bit-identical across %zu "
+                "backends\n",
+                reference.size(), backends.size());
     return 0;
 }

@@ -1,16 +1,9 @@
 #!/usr/bin/env python3
 """Compare bench_selfperf JSON reports.
 
-Two modes, both consuming the results/BENCH_selfperf.json schema
-(written by `bench_selfperf --json`):
-
-identity A.json B.json
-    Assert that the *simulated* results of two runs are bit-identical:
-    every (workload, design) row must agree on sim_mcycles exactly.
-    This is the cross-backend contract — a run pinned to
-    TVARAK_KERNEL=scalar and one under the best backend must simulate
-    the same machine; only wall-clock may differ. Exit 1 with a
-    per-row diff otherwise.
+Consumes the results/BENCH_selfperf.json schema (written by
+`bench_selfperf --json`, which itself fails if its kernel backends
+simulate different Stats):
 
 gate CURRENT.json BASELINE.json [--min-ratio R]
     Assert CURRENT's total_mcycles_per_sec is at least R times
@@ -66,11 +59,6 @@ def check_identity(a, b, name_a, name_b):
     return ok
 
 
-def cmd_identity(args):
-    a, b = load(args.a), load(args.b)
-    return check_identity(a, b, args.a, args.b)
-
-
 def cmd_gate(args):
     cur, base = load(args.current), load(args.baseline)
     if not check_identity(cur, base, args.current, args.baseline):
@@ -95,13 +83,6 @@ def main():
     ap = argparse.ArgumentParser(
         description="Compare bench_selfperf JSON reports")
     sub = ap.add_subparsers(dest="mode", required=True)
-
-    p_id = sub.add_parser(
-        "identity",
-        help="sim_mcycles must match exactly (cross-backend contract)")
-    p_id.add_argument("a")
-    p_id.add_argument("b")
-    p_id.set_defaults(run=cmd_identity)
 
     p_gate = sub.add_parser(
         "gate", help="throughput floor vs committed baseline")

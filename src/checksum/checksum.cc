@@ -43,10 +43,4 @@ lineIsZero(const void *line)
     return kernels::ops().isZero(line, kLineBytes);
 }
 
-std::uint64_t
-fletcher64(const void *data, std::size_t len)
-{
-    return kernels::fletcher64(data, len);
-}
-
 }  // namespace tvarak

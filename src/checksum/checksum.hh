@@ -9,11 +9,11 @@
  * a corrupted line really fails verification and is really rebuilt.
  *
  * The byte loops themselves live in src/kernels/ behind the
- * runtime-dispatched KernelOps table (scalar slicing-by-eight, SSE4.2
- * hardware CRC32, AVX2); this header is the line/page-semantic facade
- * the rest of the system uses. CRC-32C is both the functional checksum
- * and the model behind the software schemes' compute-cost
- * (SimConfig::swChecksumBytesPerCycle).
+ * runtime-dispatched KernelOps table (scalar slicing-by-eight, or AVX2
+ * with the hardware CRC32 instruction); this header is the
+ * line/page-semantic facade the rest of the system uses. CRC-32C is
+ * both the functional checksum and the model behind the software
+ * schemes' compute-cost (SimConfig::swChecksumBytesPerCycle).
  */
 
 #pragma once
@@ -52,13 +52,6 @@ void xorLineInto(void *dst, const void *a, const void *b);
 
 /** True iff the 64 B line is all zero. */
 bool lineIsZero(const void *line);
-
-/**
- * Fletcher-64 checksum; kept as an alternative kernel (PMDK uses a
- * Fletcher variant for its metadata) and exercised by the kernel
- * micro-benchmarks.
- */
-std::uint64_t fletcher64(const void *data, std::size_t len);
 
 }  // namespace tvarak
 

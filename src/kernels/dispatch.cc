@@ -6,14 +6,10 @@
  * kernels themselves are reached through the table's function pointers
  * — no per-call CPUID or feature branches. The pointer starts at the
  * scalar table (safe under any static-initialization order) and is
- * upgraded once during startup to the best available backend, unless
- * TVARAK_KERNEL pins one.
+ * upgraded once during startup to the best available backend.
  */
 
 #include "kernels/tables.hh"
-
-#include <cstdlib>
-#include <cstring>
 
 namespace tvarak::kernels {
 
@@ -23,48 +19,20 @@ constinit const KernelOps *gActive = &kScalarOps;
 
 namespace {
 
+/** The AVX2 backend also uses the SSE4.2 crc32 instruction. */
 bool
-cpuHas(Backend b)
+cpuHasAvx2()
 {
 #if defined(__x86_64__)
-    switch (b) {
-      case Backend::Scalar:
-        return true;
-      case Backend::Sse42:
-        return __builtin_cpu_supports("sse4.2") != 0;
-      case Backend::Avx2:
-        return __builtin_cpu_supports("avx2") != 0 &&
-               __builtin_cpu_supports("sse4.2") != 0;
-    }
-    return false;
+    return __builtin_cpu_supports("avx2") != 0 &&
+           __builtin_cpu_supports("sse4.2") != 0;
 #else
-    return b == Backend::Scalar;
+    return false;
 #endif
 }
 
-const KernelOps &
-tableOf(Backend b)
-{
-    switch (b) {
-      case Backend::Sse42:
-        return kSse42Ops;
-      case Backend::Avx2:
-        return kAvx2Ops;
-      case Backend::Scalar:
-        break;
-    }
-    return kScalarOps;
-}
-
-/** Resolve TVARAK_KERNEL once at startup; unknown or unavailable
- *  values silently fall back to auto (the best backend). */
 struct DispatchInit {
-    DispatchInit()
-    {
-        const char *env = std::getenv("TVARAK_KERNEL");
-        if (env == nullptr || !selectBackend(env))
-            selectBackend(bestBackend());
-    }
+    DispatchInit() { selectBackend(bestBackend()); }
 };
 
 const DispatchInit gDispatchInit;
@@ -74,44 +42,34 @@ const DispatchInit gDispatchInit;
 const KernelOps &
 opsFor(Backend b)
 {
-    return tableOf(b);
+    return b == Backend::Avx2 ? kAvx2Ops : kScalarOps;
 }
 
 const char *
 backendName(Backend b)
 {
-    return tableOf(b).name;
+    return opsFor(b).name;
 }
 
 bool
 backendAvailable(Backend b)
 {
-    static const bool have[kBackendCount] = {
-        cpuHas(Backend::Scalar),
-        cpuHas(Backend::Sse42),
-        cpuHas(Backend::Avx2),
-    };
-    return have[static_cast<std::size_t>(b)];
+    static const bool haveAvx2 = cpuHasAvx2();
+    return b == Backend::Scalar || haveAvx2;
 }
 
 Backend
 activeBackend()
 {
-    if (detail::gActive == &kAvx2Ops)
-        return Backend::Avx2;
-    if (detail::gActive == &kSse42Ops)
-        return Backend::Sse42;
-    return Backend::Scalar;
+    return detail::gActive == &kAvx2Ops ? Backend::Avx2
+                                        : Backend::Scalar;
 }
 
 Backend
 bestBackend()
 {
-    if (backendAvailable(Backend::Avx2))
-        return Backend::Avx2;
-    if (backendAvailable(Backend::Sse42))
-        return Backend::Sse42;
-    return Backend::Scalar;
+    return backendAvailable(Backend::Avx2) ? Backend::Avx2
+                                           : Backend::Scalar;
 }
 
 bool
@@ -119,41 +77,8 @@ selectBackend(Backend b)
 {
     if (!backendAvailable(b))
         return false;
-    detail::gActive = &tableOf(b);
+    detail::gActive = &opsFor(b);
     return true;
-}
-
-bool
-selectBackend(std::string_view name)
-{
-    if (name == "auto")
-        return selectBackend(bestBackend());
-    for (std::size_t i = 0; i < kBackendCount; i++) {
-        Backend b = static_cast<Backend>(i);
-        if (name == backendName(b))
-            return selectBackend(b);
-    }
-    return false;
-}
-
-std::uint64_t
-fletcher64(const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    std::uint64_t lo = 0, hi = 0;
-    std::size_t words = n / 4;
-    for (std::size_t i = 0; i < words; i++) {
-        std::uint32_t w;
-        std::memcpy(&w, p + i * 4, 4);
-        lo += w;
-        hi += lo;
-    }
-    // Trailing bytes (if any) are folded in one at a time.
-    for (std::size_t i = words * 4; i < n; i++) {
-        lo += p[i];
-        hi += lo;
-    }
-    return (hi << 32) | (lo & 0xffffffffull);
 }
 
 }  // namespace tvarak::kernels

@@ -5,17 +5,15 @@
  * Every byte loop the simulator's data plane runs — CRC-32C, XOR
  * parity/diff application, GF(2^8) multiply-accumulate for the
  * Reed-Solomon designs, cache tag scans — lives behind the KernelOps
- * function-pointer table defined here. Three backends implement the
- * table: portable scalar, SSE4.2 (hardware CRC32), and AVX2. The best
- * available backend is chosen once at startup by CPUID; the hot path
- * pays one indirect call and stays branch-free.
+ * function-pointer table defined here. Two backends implement the
+ * table: portable scalar (the reference, and the fallback on any CPU
+ * without AVX2) and AVX2. The backend is chosen once at startup by
+ * CPUID; the hot path pays one indirect call and stays branch-free.
+ * Tests and benches reach a specific backend's table with opsFor() or
+ * route ops() to it with selectBackend().
  *
- * Selection is overridable for testing and benchmarking:
- *   - environment: TVARAK_KERNEL=scalar|sse42|avx2|auto
- *   - programmatic: selectBackend() (the bench drivers' --kernel flag)
- *
- * Every backend is bit-identical to scalar by construction — CRC-32C
- * is a pure function, XOR is XOR, and GF(2^8) multiplication
+ * The AVX2 backend is bit-identical to scalar by construction —
+ * CRC-32C is a pure function, XOR is XOR, and GF(2^8) multiplication
  * distributes over XOR so the nibble-table SIMD formulation equals the
  * log/alog scalar one. tests/test_kernels.cc pins this property on
  * random buffers, and the golden-trace replay tests pin that simulated
@@ -31,16 +29,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 #include "sim/types.hh"
 
 namespace tvarak::kernels {
 
 /** Kernel backend tiers, in ascending preference order. */
-enum class Backend { Scalar = 0, Sse42 = 1, Avx2 = 2 };
+enum class Backend { Scalar = 0, Avx2 = 1 };
 
-constexpr std::size_t kBackendCount = 3;
+constexpr std::size_t kBackendCount = 2;
 
 /** Parity roles a single sequence can update (max supported k). */
 constexpr std::size_t kSeqMaxRoles = 8;
@@ -122,7 +119,7 @@ ops()
 /** The table of a specific backend. @pre backendAvailable(b). */
 const KernelOps &opsFor(Backend b);
 
-/** Lower-case backend name ("scalar", "sse42", "avx2"). */
+/** Lower-case backend name ("scalar", "avx2"). */
 const char *backendName(Backend b);
 
 /** Can this CPU run backend @p b? Scalar is always available. */
@@ -131,7 +128,7 @@ bool backendAvailable(Backend b);
 /** The backend ops() currently dispatches to. */
 Backend activeBackend();
 
-/** The best backend this CPU supports (what "auto" resolves to). */
+/** The best backend this CPU supports (the startup choice). */
 Backend bestBackend();
 
 /**
@@ -139,16 +136,6 @@ Backend bestBackend();
  * @return false (and leave dispatch unchanged) if unavailable.
  */
 bool selectBackend(Backend b);
-
-/**
- * Route ops() by name: "scalar", "sse42", "avx2", or "auto".
- * @return false (and leave dispatch unchanged) on unknown names or
- *         unavailable backends.
- */
-bool selectBackend(std::string_view name);
-
-/** Fletcher-64 over 32-bit words (shared scalar implementation). */
-std::uint64_t fletcher64(const void *data, std::size_t n);
 
 /**
  * Builder for one fused pass over a cache line. Typical writeback:

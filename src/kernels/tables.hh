@@ -30,7 +30,7 @@ const CrcTables &crcTables();
 /**
  * GF(2^8) / 0x11D multiplication tables: log/alog for the scalar
  * backend (alog doubled so exponent sums skip the mod-255), plus
- * per-coefficient nibble product rows for the pshufb backends —
+ * per-coefficient nibble product rows for the AVX2 pshufb kernels —
  * mulLo[c][x] = c*x and mulHi[c][x] = c*(x<<4), so by linearity of
  * GF(2^8) multiplication over XOR,
  * c*b == mulLo[c][b & 0xf] ^ mulHi[c][b >> 4].
@@ -60,9 +60,9 @@ crcWordStep(const CrcTables &tb, std::uint32_t crc, std::uint64_t word)
            tb.t[0][(word >> 56) & 0xff];
 }
 
-// The scalar backend's kernels, shared so the SIMD TUs can fall back
-// to them for ops they do not specialize (and so non-x86 builds can
-// alias every backend to scalar).
+// The scalar backend's kernels, shared so the AVX2 TU can finish
+// ragged tails with them (and so non-x86 builds can alias its table
+// to scalar).
 std::uint32_t scalarCrc32c(const void *data, std::size_t n,
                            std::uint32_t seed);
 void scalarXorInto(void *dst, const void *src, std::size_t n);
@@ -87,7 +87,6 @@ namespace tvarak::kernels {
 // namespace-scope const definitions keep external linkage for
 // dispatch.cc to reference.
 extern const KernelOps kScalarOps;
-extern const KernelOps kSse42Ops;
 extern const KernelOps kAvx2Ops;
 
 }  // namespace tvarak::kernels

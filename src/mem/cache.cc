@@ -37,9 +37,9 @@ Cache::probe(Addr lineAddr)
 {
     panic_if(lineOffset(lineAddr) != 0, "%s: unaligned probe",
              name_.c_str());
-    // The simulator's hottest loop: a vectorized scan over the set's
-    // compact tag mirror (kernels::findTag compares 4 ways per step
-    // under AVX2).
+    // The simulator's hottest loop: a scan over the set's compact tag
+    // mirror (kernels::findTag compares 4 ways per step on the AVX2
+    // backend, one per step on the scalar fallback).
     std::size_t base = setOf(lineAddr) * ways_;
     std::size_t w = kernels::ops().findTag(&tags_[base], ways_, lineAddr);
     return w != ways_ ? &lines_[base + w] : nullptr;

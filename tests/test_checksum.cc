@@ -140,21 +140,5 @@ TEST(LineIsZero, Works)
     EXPECT_FALSE(lineIsZero(line.data()));
 }
 
-TEST(Fletcher64, SensitiveToOrder)
-{
-    std::array<std::uint8_t, 16> a{};
-    a[0] = 1;
-    std::array<std::uint8_t, 16> b{};
-    b[8] = 1;
-    EXPECT_NE(fletcher64(a.data(), a.size()),
-              fletcher64(b.data(), b.size()));
-}
-
-TEST(Fletcher64, TailBytes)
-{
-    const char *s = "abcdefg";  // 7 bytes: 1 word + 3 tail bytes
-    EXPECT_NE(fletcher64(s, 7), fletcher64(s, 6));
-}
-
 }  // namespace
 }  // namespace tvarak

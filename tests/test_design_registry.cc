@@ -217,16 +217,14 @@ TEST_P(TraceInvariance, ReplayMatchesPreRefactorGoldens)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(GoldenTraces, TraceInvariance,
-                         ::testing::Values("stream", "ctree"));
-
-TEST(TraceInvariance, KernelBackendsReplayBitIdentical)
+TEST_P(TraceInvariance, KernelBackendsReplayBitIdentical)
 {
     // The dispatch contract: simulated Stats are a function of the
     // trace and the design, never of the host's SIMD level. Replay
     // every design under the forced scalar backend and under the best
     // available one; statsDiff must come back empty.
-    auto trace = trace::TraceData::load(goldenPath("stream.trace"));
+    const std::string id = GetParam();
+    auto trace = trace::TraceData::load(goldenPath(id + ".trace"));
     ASSERT_NE(trace, nullptr);
     kernels::Backend best = kernels::bestBackend();
     for (const Design *d : allRegisteredDesigns()) {
@@ -235,10 +233,13 @@ TEST(TraceInvariance, KernelBackendsReplayBitIdentical)
         ASSERT_TRUE(kernels::selectBackend(best));
         RunResult simd = trace::replayExperiment(trace, *d);
         EXPECT_EQ(statsDiff(scalar.stats, simd.stats), "")
-            << d->cliName() << ": scalar vs "
+            << id << " under " << d->cliName() << ": scalar vs "
             << kernels::backendName(best);
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(GoldenTraces, TraceInvariance,
+                         ::testing::Values("stream", "ctree"));
 
 TEST(TraceInvariance, AblationVariantsActuallyAblate)
 {

@@ -1,9 +1,8 @@
 /**
  * @file
- * The kernels module's contract: every compiled backend is
- * bit-identical to the scalar reference on random inputs (aligned,
- * unaligned, ragged tails), and backend dispatch honours explicit
- * selection with silent fallback for unavailable or unknown names.
+ * The kernels module's contract: the AVX2 backend is bit-identical to
+ * the scalar reference on random inputs (aligned, unaligned, ragged
+ * tails), and backend dispatch honours explicit selection.
  */
 
 #include <gtest/gtest.h>
@@ -60,7 +59,6 @@ TEST(KernelDispatch, ScalarAlwaysAvailable)
 {
     EXPECT_TRUE(kernels::backendAvailable(Backend::Scalar));
     EXPECT_STREQ(kernels::backendName(Backend::Scalar), "scalar");
-    EXPECT_STREQ(kernels::backendName(Backend::Sse42), "sse42");
     EXPECT_STREQ(kernels::backendName(Backend::Avx2), "avx2");
 }
 
@@ -72,22 +70,14 @@ TEST(KernelDispatch, ExplicitSelectionRoundTrips)
         EXPECT_EQ(kernels::activeBackend(), b);
         EXPECT_STREQ(kernels::ops().name, kernels::backendName(b));
     }
-    // By name, including "auto".
-    ASSERT_TRUE(kernels::selectBackend("scalar"));
-    EXPECT_EQ(kernels::activeBackend(), Backend::Scalar);
-    ASSERT_TRUE(kernels::selectBackend("auto"));
-    EXPECT_EQ(kernels::activeBackend(), kernels::bestBackend());
-    // Unknown names are rejected and leave the selection alone.
-    Backend current = kernels::activeBackend();
-    EXPECT_FALSE(kernels::selectBackend("neon"));
-    EXPECT_FALSE(kernels::selectBackend(""));
-    EXPECT_EQ(kernels::activeBackend(), current);
     ASSERT_TRUE(kernels::selectBackend(before));
 }
 
 TEST(KernelDispatch, BestBackendIsAvailable)
 {
     EXPECT_TRUE(kernels::backendAvailable(kernels::bestBackend()));
+    // Startup dispatch picks it; every test restores the selection.
+    EXPECT_EQ(kernels::activeBackend(), kernels::bestBackend());
 }
 
 class KernelBackendIdentity
@@ -360,7 +350,7 @@ TEST_P(KernelBackendIdentity, KernelSequenceBuilderMatchesFacade)
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, KernelBackendIdentity,
-    ::testing::Values(Backend::Scalar, Backend::Sse42, Backend::Avx2),
+    ::testing::Values(Backend::Scalar, Backend::Avx2),
     [](const ::testing::TestParamInfo<Backend> &info) {
         return kernels::backendName(info.param);
     });
@@ -376,8 +366,6 @@ TEST(KernelFacade, ChecksumModuleDelegatesToKernels)
     auto buf = randomBuf(rng, 3 * kLineBytes + 5);
     EXPECT_EQ(crc32c(buf.data(), buf.size()),
               kernels::ops().crc32c(buf.data(), buf.size(), 0));
-    EXPECT_EQ(fletcher64(buf.data(), buf.size()),
-              kernels::fletcher64(buf.data(), buf.size()));
     EXPECT_EQ(lineChecksum(buf.data()),
               kDaxClCsumTag |
                   kernels::ops().crc32c(buf.data(), kLineBytes, 0));

@@ -2,16 +2,20 @@
  * @file
  * Command-line plumbing shared by tvarak-trace and tvarak-fault:
  * positionals plus `--key value` / `--key=value` flags and bare
- * switches, and lookup of `--design` names in the design registry.
+ * switches, strict number parsing, and lookup of `--design` names in
+ * the design registry. Every usage error exits 2.
  */
 
 #pragma once
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "redundancy/registry.hh"
@@ -69,6 +73,34 @@ parseArgs(const std::vector<std::string> &raw,
         out.flags[key] = val;
     }
     return true;
+}
+
+/** Parse all of @p text as a decimal integer: no sign, no spaces, no
+ *  trailing junk, no overflow. @return false otherwise. */
+inline bool
+parseU64(const std::string &text, std::uint64_t &out)
+{
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+/** The value @p text of @p flag as an integer >= @p min; otherwise
+ *  print "<tool>: bad value for <flag>: '<text>'" and exit 2. */
+inline std::uint64_t
+parseNumber(const char *tool, const char *flag, const std::string &text,
+            std::uint64_t min = 1)
+{
+    std::uint64_t v = 0;
+    if (!parseU64(text, v) || v < min) {
+        std::fprintf(stderr,
+                     "%s: bad value for %s: '%s' (want an integer >= "
+                     "%llu)\n",
+                     tool, flag, text.c_str(),
+                     static_cast<unsigned long long>(min));
+        std::exit(2);
+    }
+    return v;
 }
 
 /** The registered design named @p name; otherwise print the registry

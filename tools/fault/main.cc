@@ -98,15 +98,16 @@ below(Rng &rng, std::uint64_t n)
     return n == 0 ? 0 : rng.next() % n;
 }
 
+/** Optional flag @p key as an integer >= @p min, @p dflt if absent;
+ *  exit 2 on a bad value. */
 std::uint64_t
-parseU64(const std::string &s, bool allowZero)
+numberFlag(const cli::Args &a, const char *key, std::uint64_t dflt,
+           std::uint64_t min = 1)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    fatal_if(s.empty() || end == nullptr || *end != '\0' ||
-                 (!allowZero && v == 0),
-             "bad number '%s'", s.c_str());
-    return v;
+    auto it = a.flags.find(key);
+    return it != a.flags.end()
+        ? cli::parseNumber("tvarak-fault", key, it->second, min)
+        : dflt;
 }
 
 // ------------------------------------------------------------------
@@ -956,19 +957,14 @@ cmdMap(const std::vector<std::string> &raw)
         !a.positional.empty() || a.flags.count("--seed") == 0) {
         return usage();
     }
-    std::uint64_t seed = parseU64(a.flags.at("--seed"), true);
+    std::uint64_t seed = cli::parseNumber("tvarak-fault", "--seed",
+                                          a.flags.at("--seed"), 0);
     const Design &design = a.flags.count("--design") != 0
         ? cli::parseDesign("tvarak-fault", a.flags.at("--design"))
         : designOf(DesignKind::Tvarak);
-    auto flagOr = [&](const char *key, std::uint64_t dflt) {
-        return a.flags.count(key) != 0 ? parseU64(a.flags.at(key), false)
-                                       : dflt;
-    };
-    std::size_t ops = static_cast<std::size_t>(flagOr("--ops", 240));
-    std::size_t keys = static_cast<std::size_t>(flagOr("--keys", 96));
-    std::size_t events =
-        static_cast<std::size_t>(flagOr("--events", 5));
-    fatal_if(ops < 24, "--ops must be at least 24");
+    std::size_t ops = numberFlag(a, "--ops", 240, 24);
+    std::size_t keys = numberFlag(a, "--keys", 96);
+    std::size_t events = numberFlag(a, "--events", 5);
 
     inform("map campaign: %s, seed %llu, %zu ops, %zu events",
            design.displayName(), static_cast<unsigned long long>(seed),
@@ -1030,7 +1026,8 @@ cmdReplay(const std::vector<std::string> &raw)
                      a.positional[0].c_str());
         return 2;
     }
-    std::uint64_t seed = parseU64(a.flags.at("--seed"), true);
+    std::uint64_t seed = cli::parseNumber("tvarak-fault", "--seed",
+                                          a.flags.at("--seed"), 0);
     Rng rng(seed);
 
     // Clean replay: reference image and pass count.
@@ -1577,9 +1574,8 @@ parseFailDimms(const std::string &spec, bool refail,
                          spec.c_str());
             std::exit(2);
         }
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(cur.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0') {
+        std::uint64_t v = 0;
+        if (!cli::parseU64(cur, v)) {
             std::fprintf(stderr,
                          "tvarak-fault: bad --fail-dimms index '%s'\n",
                          cur.c_str());
@@ -1629,7 +1625,8 @@ cmdMulti(const std::vector<std::string> &raw)
         !a.positional.empty() || a.flags.count("--seed") == 0) {
         return usage();
     }
-    std::uint64_t seed = parseU64(a.flags.at("--seed"), true);
+    std::uint64_t seed = cli::parseNumber("tvarak-fault", "--seed",
+                                          a.flags.at("--seed"), 0);
     const Design &design = a.flags.count("--design") != 0
         ? cli::parseDesign("tvarak-fault", a.flags.at("--design"))
         : designOf(DesignKind::Tvarak);
@@ -1643,13 +1640,8 @@ cmdMulti(const std::vector<std::string> &raw)
             "recompute over the stripe, which is unsafe mid-schedule\n");
         return 2;
     }
-    auto flagOr = [&](const char *key, std::uint64_t dflt) {
-        return a.flags.count(key) != 0 ? parseU64(a.flags.at(key), false)
-                                       : dflt;
-    };
-    std::size_t ops = static_cast<std::size_t>(flagOr("--ops", 240));
-    std::size_t keys = static_cast<std::size_t>(flagOr("--keys", 96));
-    fatal_if(ops < 48, "--ops must be at least 48");
+    std::size_t ops = numberFlag(a, "--ops", 240, 48);
+    std::size_t keys = numberFlag(a, "--keys", 96);
     bool refail = a.flags.count("--refail") != 0;
 
     // The DIMM count the schedule runs against is whatever geometry

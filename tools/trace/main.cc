@@ -56,14 +56,11 @@ usage()
     return 2;
 }
 
-std::size_t
-parseCount(const std::string &s)
+/** Is @p id one of the canned workloads cannedFactory builds? */
+bool
+isCannedId(const std::string &id)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    fatal_if(s.empty() || end == nullptr || *end != '\0' || v == 0,
-             "bad count '%s'", s.c_str());
-    return static_cast<std::size_t>(v);
+    return id == "stream" || id == "ctree";
 }
 
 /** The canned machine: Table III, NVM sized for the canned workloads. */
@@ -133,8 +130,13 @@ splitCannedName(const std::string &name, std::string &id,
     if (at == std::string::npos)
         return false;
     id = name.substr(0, at);
-    scale = parseCount(name.substr(at + 1));
-    return id == "stream" || id == "ctree";
+    std::uint64_t v = 0;
+    if (!isCannedId(id) || !cli::parseU64(name.substr(at + 1), v) ||
+        v == 0) {
+        return false;
+    }
+    scale = static_cast<std::size_t>(v);
+    return true;
 }
 
 /** Load @p path or exit with the usage status: a truncated, corrupt
@@ -177,8 +179,16 @@ cmdRecord(const std::vector<std::string> &raw)
     }
     const std::string &id = a.positional[0];
     const std::string &out = a.positional[1];
+    if (!isCannedId(id)) {
+        std::fprintf(stderr,
+                     "tvarak-trace: unknown canned workload '%s' (want "
+                     "stream or ctree)\n",
+                     id.c_str());
+        return 2;
+    }
     std::size_t scale = a.flags.count("--scale") != 0
-        ? parseCount(a.flags.at("--scale"))
+        ? cli::parseNumber("tvarak-trace", "--scale",
+                           a.flags.at("--scale"))
         : 1;
     const Design &design = a.flags.count("--design") != 0
         ? cli::parseDesign("tvarak-trace", a.flags.at("--design"))
