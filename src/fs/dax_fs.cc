@@ -313,13 +313,15 @@ DaxFs::daxMap(int fd)
     mem_.dropCaches();
     for (std::size_t p = 0; p < f.pages; p++) {
         Addr nvm_page = pageOfVpage(f.firstVpage + p);
-        mem_.tvarak().initDaxClChecksums(nvm_page);
         mem_.tvarak().registerDaxPage(nvm_page);
-        if (mem_.designObj().engineCoversDaxData()) {
-            // Coverage moved to the DAX-CL-checksums: return the page
-            // checksum slot to a canonical zero, so the at-rest
-            // metadata image is a pure function of the mapping state
-            // (which is what the rebuild engine reproduces).
+        if (mem_.daxClCoversMappedData()) {
+            // Coverage moves to the DAX-CL-checksums: write them, and
+            // return the page checksum slot to a canonical zero, so
+            // the at-rest metadata image is a pure function of the
+            // mapping state (which is what the rebuild engine
+            // reproduces). Otherwise the page checksum stays valid
+            // and the DAX-CL slots stay zero.
+            mem_.tvarak().initDaxClChecksums(nvm_page);
             std::uint64_t zero = 0;
             mem_.nvmArray().rawWrite(
                 mem_.layout().pageCsumAddr(nvm_page), &zero,
@@ -556,7 +558,7 @@ DaxFs::scrubPage(int fd, std::size_t pageIdx, bool repair)
     if (degraded && nvm.lineDegraded(nvm_page + kPageBytes - kLineBytes))
         return 0;
     std::size_t bad_lines = 0;
-    if (f.mapped && mem_.designObj().engineCoversDaxData()) {
+    if (f.mapped && mem_.daxClCoversMappedData()) {
         for (std::size_t l = 0; l < kLinesPerPage; l++) {
             Addr line = nvm_page + l * kLineBytes;
             Addr csum_line = layout.daxClCsumLine(line);

@@ -82,6 +82,12 @@ MemorySystem::design() const
     return design_->kind();
 }
 
+bool
+MemorySystem::daxClCoversMappedData() const
+{
+    return design_->engineCoversDaxData() && cfg_.tvarak.useDaxClChecksums;
+}
+
 const RsCode &
 MemorySystem::rsCodec()
 {

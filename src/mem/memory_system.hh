@@ -175,6 +175,13 @@ class MemorySystem
     /** The active design object (policy queries, scheme vending). */
     const Design &designObj() const { return *design_; }
     const SimConfig &config() const { return cfg_; }
+    /** Mapped DAX data is covered by per-line DAX-CL checksums: the
+     *  design's engine covers it and keeps them. False for the naive
+     *  controller (useDaxClChecksums off), which keeps page checksums
+     *  of mapped pages, and for designs that leave mapped data to
+     *  software. DaxFs mapping and scrubbing and the rebuild engine
+     *  all decide checksum coverage here. */
+    bool daxClCoversMappedData() const;
     Stats &stats() { return stats_; }
     const Stats &stats() const { return stats_; }
     Layout &layout() { return layout_; }

@@ -141,21 +141,11 @@ TEST_P(TvarakAblation, InvariantsHoldInEveryConfiguration)
             (void)mem.read64(0, a);
     }
     mem.flushAll();
+    // No fault was injected: no fill may claim a corruption, and the
+    // scrub (DAX-CL or, in naive mode, page checksums) finds none.
+    EXPECT_EQ(mem.stats().corruptionsDetected, 0u);
     EXPECT_EQ(fs.verifyParity(), 0u);
-    if (dax_cl) {
-        EXPECT_EQ(fs.scrub(false), 0u);
-    } else {
-        // Page-granular naive mode: verify page checksums directly.
-        for (std::size_t p = 0; p < 32; p++) {
-            Addr page = fs.filePage(fd, p);
-            std::uint8_t buf[kPageBytes];
-            mem.nvmArray().rawRead(page, buf, kPageBytes);
-            std::uint64_t stored;
-            mem.nvmArray().rawRead(mem.layout().pageCsumAddr(page),
-                                   &stored, 8);
-            EXPECT_EQ(stored, pageChecksum(buf)) << "page " << p;
-        }
-    }
+    EXPECT_EQ(fs.scrub(false), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, TvarakAblation,
