@@ -254,11 +254,11 @@ main(int argc, char **argv)
             at = f.replaceAt + gap;
         }
     } else if (faultMode) {
-        svc.failAtRequest = svc.requests / 4 + 1;
-        svc.replaceAtRequest = svc.requests / 2 + 1;
-        faultDimms.push_back(svc.faultDimm);
+        svc.faults.push_back(
+            {1, svc.requests / 4 + 1, svc.requests / 2 + 1});
+        faultDimms.push_back(1);
     }
-    bool anyFault = faultMode || !svc.faults.empty();
+    bool anyFault = !svc.faults.empty();
 
     // Default to every registered design: the service layer turns each
     // one into a latency-vs-load curve, variants included.
@@ -268,7 +268,7 @@ main(int argc, char **argv)
         // A staggered --fail-dimms schedule can hold every listed DIMM
         // dead-or-rebuilding at once, so a design must survive that
         // many concurrent failures to run under it.
-        std::size_t need = svc.faults.empty() ? 1 : svc.faults.size();
+        std::size_t need = svc.faults.size();
         std::vector<const Design *> survivors;
         for (const Design *d : designs) {
             if (d->maintainsMappedParity() &&
@@ -281,7 +281,7 @@ main(int argc, char **argv)
                              "(cannot survive %zu concurrent DIMM "
                              "%s)\n",
                              d->cliName().c_str(),
-                             svc.faults.empty() ? "" : "s", need,
+                             faultMode ? "" : "s", need,
                              need == 1 ? "loss" : "losses");
             }
         }

@@ -96,14 +96,7 @@ runService(const SimConfig &cfg, const Design &design,
         makeArrivalProcess(svc.arrival);
     std::unique_ptr<RebuildEngine> rebuild;
 
-    // Effective fault schedule: explicit entries plus the legacy
-    // single-DIMM shorthand.
-    std::vector<DimmFault> faults = svc.faults;
-    if (svc.failAtRequest != 0 || svc.replaceAtRequest != 0) {
-        faults.push_back(
-            {svc.faultDimm, svc.failAtRequest, svc.replaceAtRequest});
-    }
-    for (const DimmFault &f : faults) {
+    for (const DimmFault &f : svc.faults) {
         // mem.config(), not cfg: the design's adjustConfig may have
         // changed the DIMM count (the erasure-coded variants do).
         panic_if(f.dimm >= mem.config().nvm.dimms,
@@ -125,7 +118,7 @@ runService(const SimConfig &cfg, const Design &design,
     for (std::uint64_t req = 1; req <= svc.requests; req++) {
         now += arrivals->nextGap();
 
-        for (const DimmFault &f : faults) {
+        for (const DimmFault &f : svc.faults) {
             if (f.failAt != 0 && req == f.failAt)
                 mem.failDimm(f.dimm);
             if (f.replaceAt != 0 && req == f.replaceAt) {

@@ -45,7 +45,7 @@
 namespace tvarak::service {
 
 /**
- * One entry of a multi-DIMM fault schedule: fail @p dimm when request
+ * One entry of a DIMM fault schedule: fail @p dimm when request
  * @p failAt arrives, replace it (starting an online rebuild) when
  * request @p replaceAt arrives. Indices are 1-based; 0 disables the
  * event, so a fail-only entry leaves the DIMM dead for the rest of the
@@ -69,15 +69,7 @@ struct ServiceConfig {
     bool idleDrain = true;
     /** Rebuild lines swept per idle gap while a rebuild is active. */
     std::size_t rebuildLinesPerIdle = 64;
-    /** @name Single-DIMM fault shorthand (0 = disabled; 1-based
-     *  request indices). Folded into the schedule below at run time. */
-    /**@{*/
-    std::size_t failAtRequest = 0;
-    std::size_t replaceAtRequest = 0;
-    std::size_t faultDimm = 1;
-    /**@}*/
-    /** Multi-DIMM fault schedule, applied in addition to the
-     *  single-DIMM shorthand above. */
+    /** DIMM fault schedule (empty = fault-free). */
     std::vector<DimmFault> faults;
 };
 

@@ -273,8 +273,7 @@ TEST(Service, FaultScheduleCompletesWithRebuild)
     ASSERT_TRUE(d->maintainsMappedParity());
     ServiceConfig svc = tinyService();
     svc.requests = 128;
-    svc.failAtRequest = 32;
-    svc.replaceAtRequest = 64;
+    svc.faults.push_back({1, 32, 64});
     ServiceResult r = runService(test::smallConfig(), *d, svc);
     EXPECT_EQ(r.service.completed, 128u)
         << "degraded mode absorbs every request";
