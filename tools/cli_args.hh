@@ -85,19 +85,22 @@ parseU64(const std::string &text, std::uint64_t &out)
     return ec == std::errc() && ptr == end;
 }
 
-/** The value @p text of @p flag as an integer >= @p min; otherwise
- *  print "<tool>: bad value for <flag>: '<text>'" and exit 2. */
+/** The value @p text of @p flag as an integer in [@p min, @p max];
+ *  otherwise print "<tool>: bad value for <flag>: '<text>'" and exit
+ *  2. */
 inline std::uint64_t
 parseNumber(const char *tool, const char *flag, const std::string &text,
-            std::uint64_t min = 1)
+            std::uint64_t min = 1, std::uint64_t max = UINT64_MAX)
 {
     std::uint64_t v = 0;
-    if (!parseU64(text, v) || v < min) {
+    if (!parseU64(text, v) || v < min || v > max) {
+        std::string want = max == UINT64_MAX
+            ? ">= " + std::to_string(min)
+            : "in [" + std::to_string(min) + ", " + std::to_string(max) +
+                "]";
         std::fprintf(stderr,
-                     "%s: bad value for %s: '%s' (want an integer >= "
-                     "%llu)\n",
-                     tool, flag, text.c_str(),
-                     static_cast<unsigned long long>(min));
+                     "%s: bad value for %s: '%s' (want an integer %s)\n",
+                     tool, flag, text.c_str(), want.c_str());
         std::exit(2);
     }
     return v;

@@ -1,7 +1,7 @@
 # Usage-error contract of tvarak-trace and tvarak-fault: malformed
-# numbers, values under a flag's floor and unknown workload names exit
-# 2 before anything runs. Driven by ctest (cli_exit_codes); needs
-# -DTRACE= and -DFAULT=.
+# numbers, values outside a flag's range, unknown names, hostile trace
+# files and unwritable reports exit 2. Driven by ctest
+# (cli_exit_codes); needs -DTRACE=, -DFAULT= and -DSRC=.
 
 function(expect_exit code)
     execute_process(COMMAND ${ARGN}
@@ -20,3 +20,37 @@ expect_exit(2 ${TRACE} record nosuch t.trace)
 # Signs and overflow are malformed too, not wrapped into a huge value.
 expect_exit(2 ${FAULT} multi --seed -1 --ops 0)
 expect_exit(2 ${FAULT} multi --seed 18446744073709551616 --ops 0)
+# The 4 MiB campaign pool holds at most 26214 keys.
+expect_exit(2 ${FAULT} map --seed 1 --keys 26215)
+expect_exit(2 ${FAULT} multi --seed 1 --keys 26215)
+# A report that cannot be written is an I/O error, not a verdict.
+expect_exit(2 ${FAULT} map --seed 1 --out /dev/full)
+
+# Hostile trace input: garbage, a header cut short, a missing file.
+set(ctree ${SRC}/tests/golden/ctree.trace)
+set(garbage ${CMAKE_CURRENT_BINARY_DIR}/garbage.trace)
+set(truncated ${CMAKE_CURRENT_BINARY_DIR}/truncated.trace)
+set(missing ${CMAKE_CURRENT_BINARY_DIR}/missing.trace)
+file(WRITE ${garbage} "not a trace at all")
+execute_process(COMMAND head -c 16 ${ctree} OUTPUT_FILE ${truncated}
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "cannot truncate ${ctree}")
+endif()
+file(REMOVE ${missing})
+expect_exit(2 ${TRACE} info ${garbage})
+expect_exit(2 ${TRACE} info ${truncated})
+expect_exit(2 ${TRACE} replay ${garbage})
+expect_exit(2 ${FAULT} replay ${garbage} --seed 1)
+expect_exit(2 ${FAULT} replay ${missing} --seed 1)
+# Designs that cannot keep writing through a DIMM loss, unknown or
+# malformed designs, and fault schedules the machine cannot take.
+expect_exit(2 ${FAULT} replay ${ctree} --seed 1 --design Baseline)
+expect_exit(2 ${FAULT} replay ${ctree} --seed 1 --design vilamb)
+expect_exit(2 ${FAULT} map --seed 1 --design no-such)
+expect_exit(2 ${FAULT} multi --seed 1 --design tvarak-rs1+9)
+expect_exit(2 ${FAULT} multi --seed 1 --design tvarak-rs4+2
+            --fail-dimms 0,9)
+expect_exit(2 ${FAULT} multi --seed 1 --design tvarak-rs4+2
+            --fail-dimms 0,0)
+expect_exit(2 ${FAULT} multi --seed 1 --design TxB-Page-Csums)
