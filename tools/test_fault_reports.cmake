@@ -32,7 +32,9 @@ function(expect_report name)
     set(failures "${failures}" PARENT_SCOPE)
 endfunction()
 
-foreach(d Baseline Tvarak TxB-Object-Csums TxB-Page-Csums vilamb)
+foreach(d Baseline Tvarak TxB-Object-Csums TxB-Page-Csums vilamb
+          tvarak-naive tvarak-no-red-cache tvarak-no-diffs tvarak-rs4+2
+          tvarak-rs6+2)
     expect_report(map_s1_${d} map --seed 1 --design ${d})
 endforeach()
 expect_report(map_s7_Tvarak map --seed 7 --design Tvarak)
