@@ -30,8 +30,8 @@ main(int argc, char **argv)
         "fig9_ablation");
 
     // The cumulative ablation points are registered design variants
-    // (each pins the deprecated TvarakParams::use* switches itself);
-    // the classic Fig-9 column labels stay as output labels.
+    // (each one's coverage sets its rungs); the classic Fig-9 column
+    // labels stay as output labels.
     struct Config {
         const char *name;
         const Design *design;

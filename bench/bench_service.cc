@@ -18,10 +18,11 @@
  * generalizes that to a staggered multi-DIMM schedule where each
  * later DIMM fails while the previous one is still rebuilding, so the
  * erasure-coded designs' two-failure operation shows up at the knee
- * and the tail. Designs that cannot survive the schedule's failure
- * count are skipped in either mode; fault-DIMM indices are validated
- * against every selected design's (post-adjustConfig) DIMM count
- * before anything runs.
+ * and the tail. Designs that cannot rebuild online (their controller
+ * does not keep their parity) or cannot survive the schedule's
+ * failure count are skipped in either mode; fault-DIMM indices are
+ * validated against every selected design's (post-adjustConfig) DIMM
+ * count before anything runs.
  */
 
 #include <cerrno>
@@ -269,20 +270,24 @@ main(int argc, char **argv)
         // dead-or-rebuilding at once, so a design must survive that
         // many concurrent failures to run under it.
         std::size_t need = svc.faults.size();
+        const char *flag = faultMode ? "--fail-dimm" : "--fail-dimms";
         std::vector<const Design *> survivors;
         for (const Design *d : designs) {
-            if (d->maintainsMappedParity() &&
-                d->absorbsWritesWhileDegraded() &&
-                d->survivableFailures() >= need) {
-                survivors.push_back(d);
-            } else {
+            const Coverage &cov = d->coverage();
+            if (!cov.controllerKeepsParity()) {
                 std::fprintf(stderr,
-                             "  skipping %s under --fail-dimm%s "
-                             "(cannot survive %zu concurrent DIMM "
-                             "%s)\n",
-                             d->cliName().c_str(),
-                             faultMode ? "" : "s", need,
+                             "  skipping %s under %s (its controller "
+                             "does not keep its parity, so it cannot "
+                             "rebuild a DIMM while writes continue)\n",
+                             d->cliName().c_str(), flag);
+            } else if (cov.survivableFailures < need) {
+                std::fprintf(stderr,
+                             "  skipping %s under %s (cannot survive "
+                             "%zu concurrent DIMM %s)\n",
+                             d->cliName().c_str(), flag, need,
                              need == 1 ? "loss" : "losses");
+            } else {
+                survivors.push_back(d);
             }
         }
         designs = survivors;

@@ -65,13 +65,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     cfg.tvarak.computeLatency),
                 cfg.tvarak.redundancyWays, cfg.tvarak.diffWays);
-    std::printf("                 features (pinned by the selected "
-                "design; see tvarak-naive/-no-red-cache/-no-diffs):\n"
-                "                 useDaxClChecksums=%s, "
-                "useRedundancyCaching=%s, useDataDiffs=%s\n",
-                cfg.tvarak.useDaxClChecksums ? "true" : "false",
-                cfg.tvarak.useRedundancyCaching ? "true" : "false",
-                cfg.tvarak.useDataDiffs ? "true" : "false");
 
     MemorySystem mem(cfg, DesignKind::Tvarak);
     double area = static_cast<double>(
@@ -85,12 +78,10 @@ main(int argc, char **argv)
     std::printf("Timing-model knobs (this reproduction): "
                 "storeIssueCycles=%llu, storeMissLatencyFactor=%.2f,\n"
                 "prefetchDegree=%zu, occupancyRead/WriteFactor=%.2f/%.2f, "
-                "swChecksumBytesPerCycle=%.0f,\n"
-                "syncVerification=%s\n",
+                "swChecksumBytesPerCycle=%.0f\n",
                 static_cast<unsigned long long>(cfg.storeIssueCycles),
                 cfg.storeMissLatencyFactor, cfg.prefetchDegree,
                 cfg.nvm.occupancyReadFactor, cfg.nvm.occupancyWriteFactor,
-                cfg.swChecksumBytesPerCycle,
-                cfg.tvarak.syncVerification ? "true" : "false");
+                cfg.swChecksumBytesPerCycle);
     return 0;
 }

@@ -26,10 +26,13 @@ store64(std::uint8_t *p, std::uint64_t v)
 
 }  // namespace
 
-TvarakEngine::TvarakEngine(const SimConfig &cfg, Layout &layout,
-                           NvmArray &nvm, Stats &stats)
+TvarakEngine::TvarakEngine(const SimConfig &cfg, const Coverage &coverage,
+                           Layout &layout, NvmArray &nvm, Stats &stats)
     : cfg_(cfg),
       params_(cfg.tvarak),
+      daxClChecksums_(coverage.mappedChecksum == MappedChecksum::DaxCl),
+      redundancyCaching_(coverage.redundancyCaching),
+      dataDiffs_(coverage.dataDiffs),
       layout_(layout),
       nvm_(nvm),
       stats_(stats),
@@ -240,7 +243,7 @@ Cycles
 TvarakEngine::redLineAccess(std::size_t ctrl, Addr raddr, bool write,
                             std::uint8_t *buf, bool demand)
 {
-    if (!params_.useRedundancyCaching)
+    if (!redundancyCaching_)
         return redLineAccessUncached(raddr, write, buf, demand);
 
     Cycles cycles = params_.cacheLatency;
@@ -289,7 +292,7 @@ TvarakEngine::redLineAccess(std::size_t ctrl, Addr raddr, bool write,
 void
 TvarakEngine::peekRedLine(Addr raddr, std::uint8_t *out)
 {
-    if (params_.useRedundancyCaching) {
+    if (redundancyCaching_) {
         auto it = directory_.find(raddr);
         if (it != directory_.end() && it->second.owner >= 0) {
             auto owner = static_cast<std::size_t>(it->second.owner);
@@ -312,7 +315,7 @@ TvarakEngine::peekRedLine(Addr raddr, std::uint8_t *out)
 // Verification (NVM -> LLC fills)
 //
 
-Cycles
+void
 TvarakEngine::verifyFill(std::size_t bank, Addr nvmAddr,
                          std::uint8_t *lineData)
 {
@@ -320,30 +323,28 @@ TvarakEngine::verifyFill(std::size_t bank, Addr nvmAddr,
         // The checksum storage died with its DIMM; until the rebuild
         // sweep recomputes it there is nothing to verify against.
         stats_.degradedRedSkips++;
-        return params_.rangeMatchLatency;
+        return;
     }
-    Cycles cycles = params_.rangeMatchLatency;
     stats_.readVerifications++;
 
-    if (!params_.useDaxClChecksums)
-        return cycles + naivePageChecksumVerify(bank, nvmAddr, lineData);
-
-    Addr csum_line = layout_.daxClCsumLine(nvmAddr);
-    std::uint8_t buf[kLineBytes];
-    cycles += redLineAccess(bank, csum_line, false, buf, true);
-    std::size_t idx = static_cast<std::size_t>(
-        layout_.daxClCsumAddr(nvmAddr) - csum_line);
-    std::uint64_t expected = load64(buf + idx);
-    cycles += params_.computeLatency;
-
-    if (lineChecksum(lineData) != expected) {
+    bool intact;
+    if (daxClChecksums_) {
+        Addr csum_line = layout_.daxClCsumLine(nvmAddr);
+        std::uint8_t buf[kLineBytes];
+        redLineAccess(bank, csum_line, false, buf, false);
+        std::size_t idx = static_cast<std::size_t>(
+            layout_.daxClCsumAddr(nvmAddr) - csum_line);
+        intact = lineChecksum(lineData) == load64(buf + idx);
+    } else {
+        intact = naivePageChecksumVerify(bank, nvmAddr, lineData);
+    }
+    if (!intact) {
         stats_.corruptionsDetected++;
         auto corrected = recoverLine(nvmAddr);
         std::memcpy(lineData, corrected.data(), kLineBytes);
         if (onRecovery)
             onRecovery(nvmAddr);
     }
-    return cycles;
 }
 
 std::uint64_t
@@ -367,31 +368,19 @@ TvarakEngine::pageChecksumWith(Addr nvmAddr, const std::uint8_t *newData,
     return pageChecksum(content);
 }
 
-Cycles
+bool
 TvarakEngine::naivePageChecksumVerify(std::size_t bank, Addr nvmAddr,
-                                      std::uint8_t *lineData)
+                                      const std::uint8_t *lineData)
 {
-    // The 63 sibling-line reads pipeline behind the demand read: charge
-    // one extra device latency on the demand path, full occupancy.
-    Cycles cycles = nvm_.readLatency();
+    // The 63 sibling-line reads pipeline behind the demand read: they
+    // cost NVM occupancy, not demand cycles.
     std::uint64_t actual = pageChecksumWith(nvmAddr, lineData, true);
-    cycles += kLinesPerPage * params_.computeLatency;
-
     Addr entry = layout_.pageCsumAddr(nvmAddr);
     Addr csum_line = lineBase(entry);
     std::uint8_t buf[kLineBytes];
-    cycles += redLineAccess(bank, csum_line, false, buf, true);
-    std::uint64_t expected =
+    redLineAccess(bank, csum_line, false, buf, false);
+    return actual ==
         load64(buf + static_cast<std::size_t>(entry - csum_line));
-
-    if (actual != expected) {
-        stats_.corruptionsDetected++;
-        auto corrected = recoverLine(nvmAddr);
-        std::memcpy(lineData, corrected.data(), kLineBytes);
-        if (onRecovery)
-            onRecovery(nvmAddr);
-    }
-    return cycles;
 }
 
 //
@@ -401,7 +390,7 @@ TvarakEngine::naivePageChecksumVerify(std::size_t bank, Addr nvmAddr,
 std::optional<Addr>
 TvarakEngine::captureDiff(std::size_t bank, Addr nvmAddr)
 {
-    if (!params_.useDataDiffs)
+    if (!dataDiffs_)
         return std::nullopt;
 
     stats_.diffCaptures++;
@@ -426,14 +415,13 @@ TvarakEngine::captureDiff(std::size_t bank, Addr nvmAddr)
 bool
 TvarakEngine::hasDiff(std::size_t bank, Addr nvmAddr) const
 {
-    return params_.useDataDiffs &&
-        diffPartitions_[bank].probe(nvmAddr) != nullptr;
+    return dataDiffs_ && diffPartitions_[bank].probe(nvmAddr) != nullptr;
 }
 
 void
 TvarakEngine::dropDiff(std::size_t bank, Addr nvmAddr)
 {
-    if (params_.useDataDiffs)
+    if (dataDiffs_)
         diffPartitions_[bank].invalidate(nvmAddr);
 }
 
@@ -491,7 +479,7 @@ TvarakEngine::updateRedundancy(std::size_t bank, Addr nvmAddr,
     // nonzero-ness, and (when this design stores DAX-CL checksums) the
     // new line's widened checksum.
     bool skip_red = degraded && verificationBlocked(nvmAddr);
-    bool want_csum = !skip_red && params_.useDaxClChecksums;
+    bool want_csum = !skip_red && daxClChecksums_;
     std::uint8_t diff[kLineBytes];
     std::uint64_t csum = 0;
     kernels::KernelSequence seq;
@@ -503,7 +491,7 @@ TvarakEngine::updateRedundancy(std::size_t bank, Addr nvmAddr,
     // Checksum update.
     if (skip_red) {
         stats_.degradedRedSkips++;  // rebuild will recompute the slot
-    } else if (params_.useDaxClChecksums) {
+    } else if (daxClChecksums_) {
         Addr csum_line = layout_.daxClCsumLine(nvmAddr);
         std::uint8_t buf[kLineBytes];
         redLineAccess(bank, csum_line, false, buf, false);
@@ -565,7 +553,7 @@ TvarakEngine::recoverLine(Addr nvmAddr, bool verifyChecksum)
     Addr line_addr = lineBase(nvmAddr);
     stats_.recoveries++;
 
-    bool check = params_.useDaxClChecksums && verifyChecksum;
+    bool check = daxClChecksums_ && verifyChecksum;
     std::uint64_t expected = 0;
     if (check) {
         Addr csum_line = layout_.daxClCsumLine(line_addr);
@@ -716,7 +704,7 @@ TvarakEngine::verificationBlocked(Addr nvmAddr) const
 {
     if (!nvm_.anyDegraded())
         return false;
-    if (params_.useDaxClChecksums)
+    if (daxClChecksums_)
         return nvm_.lineDegraded(layout_.daxClCsumLine(nvmAddr));
     // Naive mode re-reads the whole page: the page shares one DIMM, so
     // its last line (highest media address) degrades first under the
@@ -733,7 +721,7 @@ TvarakEngine::verifyReconstructed(std::size_t bank, Addr nvmAddr,
     // Naive page-checksum mode can never verify a degraded line: the
     // line's own page is (by definition) partially lost, and the page
     // checksum needs all of it.
-    if (!params_.useDaxClChecksums || verificationBlocked(nvmAddr)) {
+    if (!daxClChecksums_ || verificationBlocked(nvmAddr)) {
         stats_.degradedRedSkips++;
         return params_.rangeMatchLatency;
     }

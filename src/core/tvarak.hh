@@ -16,15 +16,19 @@
  *    the update engine (every LLC->NVM writeback of a DAX line);
  *  - line recovery from cross-DIMM parity on checksum mismatch.
  *
- * Design-ablation switches (TvarakParams::use*) reproduce Fig 9:
- * with all three off this is the naive controller of Section III
- * (page-granular checksums that read the whole page, no redundancy
- * caching, old-data reads instead of diffs).
+ * The design's Coverage fixes the Fig 9 ladder when the engine is
+ * built: page checksums instead of DAX-CL checksums, and redundancy
+ * caching or data diffs turned off. With all three rungs down this
+ * is the naive controller of Section III (page-granular checksums
+ * that read the whole page, no redundancy caching, old-data reads
+ * instead of diffs).
  *
- * Timing contract: verification work is on the demand path and its
- * cycles are *returned* to the caller to charge to the loading thread;
- * update work happens at writeback time, off the critical path — it
- * contributes NVM occupancy and energy only.
+ * Timing contract: fill verification overlaps data delivery
+ * (Section III-E) and charges the loading thread nothing; update
+ * work happens at writeback time, off the critical path. Both
+ * contribute NVM occupancy and energy only. Verifying a degraded
+ * read's reconstruction is on the demand path: its cycles are
+ * returned to the caller.
  */
 
 #pragma once
@@ -40,6 +44,7 @@
 #include "layout/layout.hh"
 #include "mem/cache.hh"
 #include "nvm/nvm.hh"
+#include "redundancy/registry.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -49,8 +54,8 @@ namespace tvarak {
 class TvarakEngine
 {
   public:
-    TvarakEngine(const SimConfig &cfg, Layout &layout, NvmArray &nvm,
-                 Stats &stats);
+    TvarakEngine(const SimConfig &cfg, const Coverage &coverage,
+                 Layout &layout, NvmArray &nvm, Stats &stats);
 
     /** @name Software management interface (used by DaxFs). */
     /**@{*/
@@ -73,15 +78,14 @@ class TvarakEngine
      * @param bank      LLC bank of the data line (= controller index).
      * @param nvmAddr   NVM-global line address.
      * @param lineData  the 64 B just fetched; repaired on corruption.
-     * @return demand-path cycles consumed by verification.
      */
-    Cycles verifyFill(std::size_t bank, Addr nvmAddr,
-                      std::uint8_t *lineData);
+    void verifyFill(std::size_t bank, Addr nvmAddr,
+                    std::uint8_t *lineData);
 
     /**
      * A DAX line in the LLC transitioned clean->dirty or received new
      * dirty data: capture/refresh its diff in the bank's diff
-     * partition (paper Section III-D). No-op unless useDataDiffs.
+     * partition (paper Section III-D). No-op without data diffs.
      *
      * The diff's *value* is always (media XOR current-line), which the
      * engine reconstructs at writeback time; the partition models the
@@ -196,8 +200,6 @@ class TvarakEngine
     /** Dedicated SRAM bytes per controller (area accounting). */
     std::size_t dedicatedBytesPerController() const;
 
-    const TvarakParams &params() const { return params_; }
-
   private:
     /** Home LLC bank of a redundancy line. */
     std::size_t homeBank(Addr raddr) const;
@@ -209,8 +211,8 @@ class TvarakEngine
 
     /**
      * Access one redundancy line through the caching hierarchy
-     * (on-controller cache -> LLC partition -> NVM), honouring
-     * useRedundancyCaching.
+     * (on-controller cache -> LLC partition -> NVM), or straight to
+     * NVM without redundancy caching.
      *
      * @param ctrl    controller performing the access.
      * @param raddr   redundancy line address (checksum/parity line).
@@ -224,7 +226,7 @@ class TvarakEngine
     /** Tally an NVM redundancy access as checksum- or parity-line. */
     void classifyRedNvmAccess(Addr raddr);
 
-    /** Uncached variant (useRedundancyCaching == false). */
+    /** Uncached variant (no redundancy caching). */
     Cycles redLineAccessUncached(Addr raddr, bool write, std::uint8_t *buf,
                                  bool demand);
 
@@ -245,9 +247,9 @@ class TvarakEngine
     /** Compute + store the page-granular checksum (naive mode). */
     void naivePageChecksumUpdate(std::size_t bank, Addr nvmAddr,
                                  const std::uint8_t *newData);
-    /** Verify against the page checksum (naive mode). */
-    Cycles naivePageChecksumVerify(std::size_t bank, Addr nvmAddr,
-                                   std::uint8_t *lineData);
+    /** True iff @p lineData matches its page checksum (naive mode). */
+    bool naivePageChecksumVerify(std::size_t bank, Addr nvmAddr,
+                                 const std::uint8_t *lineData);
 
     /** Read the current at-rest page content with @p nvmAddr's line
      *  replaced by @p newData, charging @p chargeAccesses NVM reads. */
@@ -257,6 +259,10 @@ class TvarakEngine
 
     const SimConfig &cfg_;
     TvarakParams params_;
+    /** The Fig 9 ladder, fixed by the design's Coverage. */
+    const bool daxClChecksums_;
+    const bool redundancyCaching_;
+    const bool dataDiffs_;
     Layout &layout_;
     NvmArray &nvm_;
     Stats &stats_;

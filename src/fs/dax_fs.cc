@@ -314,7 +314,7 @@ DaxFs::daxMap(int fd)
     for (std::size_t p = 0; p < f.pages; p++) {
         Addr nvm_page = pageOfVpage(f.firstVpage + p);
         mem_.tvarak().registerDaxPage(nvm_page);
-        if (mem_.daxClCoversMappedData()) {
+        if (mem_.coverage().mappedChecksum == MappedChecksum::DaxCl) {
             // Coverage moves to the DAX-CL-checksums: write them, and
             // return the page checksum slot to a canonical zero, so
             // the at-rest metadata image is a pure function of the
@@ -537,7 +537,7 @@ DaxFs::scrubbable(int fd) const
     // (TxB-Page-Csums, Vilamb) maintain the page checksum slots,
     // TxB-Object-Csums is scrubbed via PmemPool::verifyObjects, and
     // Baseline has no coverage (Table I).
-    return !f.mapped || mem_.designObj().coversMappedFiles();
+    return !f.mapped || mem_.coverage().scrubsMappedFiles();
 }
 
 std::size_t
@@ -558,7 +558,8 @@ DaxFs::scrubPage(int fd, std::size_t pageIdx, bool repair)
     if (degraded && nvm.lineDegraded(nvm_page + kPageBytes - kLineBytes))
         return 0;
     std::size_t bad_lines = 0;
-    if (f.mapped && mem_.daxClCoversMappedData()) {
+    if (f.mapped &&
+        mem_.coverage().mappedChecksum == MappedChecksum::DaxCl) {
         for (std::size_t l = 0; l < kLinesPerPage; l++) {
             Addr line = nvm_page + l * kLineBytes;
             Addr csum_line = layout.daxClCsumLine(line);

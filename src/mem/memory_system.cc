@@ -33,7 +33,7 @@ MemorySystem::MemorySystem(const SimConfig &cfg, const Design &design)
       // a reference to its SimConfig, so it must not see the caller's
       // possibly-temporary argument.
       nvm_(cfg_.nvm, cfg_, stats_),
-      engine_(cfg_, layout_, nvm_, stats_),
+      engine_(cfg_, design.coverage(), layout_, nvm_, stats_),
       dram_(cfg_.dram.sizeBytes),
       nvmCur_(cfg_.nvm.dimms * cfg_.nvm.dimmBytes),
       dramBrk_(kLineBytes)  // never hand out address 0
@@ -42,16 +42,17 @@ MemorySystem::MemorySystem(const SimConfig &cfg, const Design &design)
     // A failure-domain fault takes out dimmsPerDomain DIMMs at once;
     // grouping DIMMs into multi-DIMM domains is only meaningful when
     // the active design can decode through a whole-domain loss.
+    const Coverage &cov = design.coverage();
     fatal_if(cfg_.nvm.dimmsPerDomain > 1 &&
-                 cfg_.nvm.dimmsPerDomain > design.survivableFailures(),
+                 cfg_.nvm.dimmsPerDomain > cov.survivableFailures,
              "nvm.dimmsPerDomain (%zu) exceeds design '%s' "
              "survivable failures (%zu)",
              cfg_.nvm.dimmsPerDomain, design.cliName().c_str(),
-             design.survivableFailures());
+             cov.survivableFailures);
     // The design's hardware borrows LLC ways for its partitions;
     // designs without controller hardware (and disabled ablation
     // elements) leave those ways to application data.
-    llcDataWays_ = cfg_.llcBank.ways - design.reservedLlcWays(cfg_);
+    llcDataWays_ = cfg_.llcBank.ways - cov.reservedLlcWays(cfg_);
     std::size_t llc_sets =
         cfg_.llcBank.sizeBytes / (cfg_.llcBank.ways * kLineBytes);
     for (std::size_t c = 0; c < cfg_.cores; c++) {
@@ -80,12 +81,6 @@ DesignKind
 MemorySystem::design() const
 {
     return design_->kind();
-}
-
-bool
-MemorySystem::daxClCoversMappedData() const
-{
-    return design_->engineCoversDaxData() && cfg_.tvarak.useDaxClChecksums;
 }
 
 const RsCode &
@@ -419,7 +414,7 @@ MemorySystem::llcEnsure(int core, Addr paddr, bool isNvm, bool isWrite,
                 lat += degradedFill(bank, g, media);
             } else {
                 lat += nvm_.access(g, false, media, isRedundancyAddr(g));
-                lat += ctrl_->fillLine(bank, g, media);
+                ctrl_->fillLine(bank, g, media);
             }
             // The fill's view becomes the architectural value.
             std::memcpy(funcPtr(paddr, true), media, kLineBytes);
@@ -511,9 +506,7 @@ MemorySystem::prefetchLine(Addr paddr, bool isNvm)
             degradedFill(bank, g, media);
         } else {
             nvm_.access(g, false, media, isRedundancyAddr(g));
-            // Prefetches are off the demand path: verification
-            // happens (energy, stats) but its cycles are discarded.
-            (void)ctrl_->fillLine(bank, g, media);
+            ctrl_->fillLine(bank, g, media);
         }
         std::memcpy(funcPtr(paddr, true), media, kLineBytes);
     } else {
@@ -642,10 +635,16 @@ MemorySystem::replaceDimm(std::size_t dimm)
     nvm_.replaceDimm(dimm);
 }
 
+bool
+MemorySystem::controllerKeepsLine(Addr nvmAddr) const
+{
+    return coverage().controllerKeepsParity() && engine_.isDaxData(nvmAddr);
+}
+
 void
 MemorySystem::memberLine(Addr nvmAddr, std::uint8_t *out, bool charge)
 {
-    if (ctrl_->atRestLine(nvmAddr)) {
+    if (controllerKeepsLine(nvmAddr)) {
         // At-rest-world designs maintain parity against media values.
         nvm_.rawRead(nvmAddr, out, kLineBytes);
     } else {
@@ -662,12 +661,12 @@ MemorySystem::memberLine(Addr nvmAddr, std::uint8_t *out, bool charge)
 bool
 MemorySystem::stripeIsEngineWorld(Addr line)
 {
-    if (!design_->engineCoversDaxData())
+    if (!coverage().controllerKeepsParity())
         return false;
     std::vector<Addr> pages;
     layout_.stripeDataPages(line, pages);
     for (Addr p : pages) {
-        if (engine_.isDaxData(p))
+        if (controllerKeepsLine(p))
             return true;
     }
     return false;

@@ -5,8 +5,8 @@
  *
  * Topology (Table III): per-core L1 and L2, a shared inclusive banked
  * LLC, DRAM, and the NVM array. The active redundancy design (a
- * `Design` from redundancy/registry.hh) reserves its LLC way
- * partitions via reservedLlcWays() and installs a `MemController`
+ * `Design` from redundancy/registry.hh) reserves the LLC way
+ * partitions its coverage asks for and installs a `MemController`
  * hook at the LLC<->NVM boundary: under the TVARAK design that hook
  * verifies every NVM->LLC fill of a DAX line, updates redundancy on
  * every LLC->NVM writeback and captures diffs on clean->dirty LLC
@@ -43,6 +43,7 @@
 #include "layout/layout.hh"
 #include "mem/cache.hh"
 #include "nvm/nvm.hh"
+#include "redundancy/registry.hh"
 #include "sim/config.hh"
 #include "sim/hostmem.hh"
 #include "sim/stats.hh"
@@ -53,9 +54,6 @@ namespace tvarak {
 namespace trace {
 class TraceSink;
 }  // namespace trace
-
-class Design;
-class MemController;
 
 class MemorySystem
 {
@@ -172,16 +170,11 @@ class MemorySystem
 
     /** The active design's serialization identity. */
     DesignKind design() const;
-    /** The active design object (policy queries, scheme vending). */
+    /** The active design object (coverage, scheme vending). */
     const Design &designObj() const { return *design_; }
+    /** The active design's coverage (paper Table I). */
+    const Coverage &coverage() const { return design_->coverage(); }
     const SimConfig &config() const { return cfg_; }
-    /** Mapped DAX data is covered by per-line DAX-CL checksums: the
-     *  design's engine covers it and keeps them. False for the naive
-     *  controller (useDaxClChecksums off), which keeps page checksums
-     *  of mapped pages, and for designs that leave mapped data to
-     *  software. DaxFs mapping and scrubbing and the rebuild engine
-     *  all decide checksum coverage here. */
-    bool daxClCoversMappedData() const;
     Stats &stats() { return stats_; }
     const Stats &stats() const { return stats_; }
     Layout &layout() { return layout_; }
@@ -272,11 +265,16 @@ class MemorySystem
      *  k-failure budget (@p out poisoned). */
     bool reconstructLineRs(Addr line, std::uint8_t *out, bool charge);
 
+    /** The controller keeps @p nvmAddr's redundancy in the at-rest
+     *  (media) world: the design's controller keeps the parity and
+     *  the line is DAX-mapped. */
+    bool controllerKeepsLine(Addr nvmAddr) const;
+
     /** One stripe member's value for reconstruction (at-rest for
-     *  TVARAK-registered pages, current otherwise). */
+     *  controller-kept lines, current otherwise). */
     void memberLine(Addr nvmAddr, std::uint8_t *out, bool charge);
 
-    /** True iff @p line's stripe has a TVARAK-registered member, i.e.
+    /** True iff @p line's stripe has a controller-kept member, i.e.
      *  the engine maintains the stripe's parity in the at-rest world
      *  (raw superblock writes keep that invariant too). */
     bool stripeIsEngineWorld(Addr line);

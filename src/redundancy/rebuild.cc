@@ -84,7 +84,8 @@ RebuildEngine::pageCsumSlotValue(std::size_t slotIdx)
         return 0;  // padding slots beyond the trimmed data region
     if (layout.isParityPage(page))
         return 0;  // parity pages carry no page checksum
-    if (mem_.daxClCoversMappedData() && mem_.tvarak().isDaxData(page)) {
+    if (mem_.coverage().mappedChecksum == MappedChecksum::DaxCl &&
+        mem_.tvarak().isDaxData(page)) {
         // Covered by DAX-CL-checksums while mapped.
         return 0;
     }
@@ -107,7 +108,8 @@ RebuildEngine::daxClSlotValue(std::size_t slotIdx)
         static_cast<Addr>(slotIdx) * kLineBytes;
     if (line >= layout.end() || layout.isParityPage(line))
         return 0;
-    if (!mem_.daxClCoversMappedData() || !mem_.tvarak().isDaxData(line))
+    if (mem_.coverage().mappedChecksum != MappedChecksum::DaxCl ||
+        !mem_.tvarak().isDaxData(line))
         return 0;  // slots are zero unless mapped and engine-kept
     std::uint8_t buf[kLineBytes];
     mem_.rebuildRead(line, buf);

@@ -33,25 +33,20 @@ toLower(std::string s)
  * The hardware contribution of the paper: per-LLC-bank controllers
  * verifying DAX fills, capturing diffs on clean->dirty transitions
  * and updating checksums + parity at writeback. All heavy lifting
- * lives in TvarakEngine; this adapter scopes it to DAX lines and
- * applies the timing contract (verification cycles land on the
- * demand path only under syncVerification).
+ * lives in TvarakEngine; this adapter scopes it to DAX lines.
  */
 class TvarakMemController final : public MemController
 {
   public:
     explicit TvarakMemController(MemorySystem &mem)
-        : engine_(mem.tvarak()),
-          sync_(mem.config().tvarak.syncVerification)
+        : engine_(mem.tvarak())
     {}
 
-    Cycles fillLine(std::size_t bank, Addr nvmAddr,
-                    std::uint8_t *media) override
+    void fillLine(std::size_t bank, Addr nvmAddr,
+                  std::uint8_t *media) override
     {
-        if (!engine_.isDaxData(nvmAddr))
-            return 0;
-        Cycles verify = engine_.verifyFill(bank, nvmAddr, media);
-        return sync_ ? verify : 0;
+        if (engine_.isDaxData(nvmAddr))
+            engine_.verifyFill(bank, nvmAddr, media);
     }
 
     std::optional<Addr> captureDirty(std::size_t bank,
@@ -91,14 +86,8 @@ class TvarakMemController final : public MemController
         return engine_.verifyReconstructed(bank, nvmAddr, media);
     }
 
-    bool atRestLine(Addr nvmAddr) override
-    {
-        return engine_.isDaxData(nvmAddr);
-    }
-
   private:
     TvarakEngine &engine_;
-    bool sync_;
 };
 
 // ------------------------------------------------- concrete designs
@@ -106,90 +95,43 @@ class TvarakMemController final : public MemController
 class BaselineDesign final : public Design
 {
   public:
-    BaselineDesign() : Design(DesignKind::Baseline, "baseline", "Baseline")
+    BaselineDesign()
+        : Design(DesignKind::Baseline, "baseline", "Baseline", {})
     {}
-
-    // No redundancy: nothing breaks when a write lands unprotected.
-    bool absorbsWritesWhileDegraded() const override { return true; }
 };
 
+/** TVARAK and its Fig-9 ablation points: the controller keeps mapped
+ *  data's checksums and parity; the coverage picks the rungs. */
 class TvarakDesign : public Design
 {
   public:
-    TvarakDesign() : TvarakDesign("tvarak", "Tvarak") {}
-
-    std::size_t reservedLlcWays(const SimConfig &cfg) const override
-    {
-        std::size_t ways = 0;
-        if (cfg.tvarak.useRedundancyCaching)
-            ways += cfg.tvarak.redundancyWays;
-        if (cfg.tvarak.useDataDiffs)
-            ways += cfg.tvarak.diffWays;
-        return ways;
-    }
+    TvarakDesign(std::string cliName, std::string displayName,
+                 const Coverage &coverage)
+        : Design(DesignKind::Tvarak, std::move(cliName),
+                 std::move(displayName), coverage)
+    {}
 
     std::unique_ptr<MemController>
     makeController(MemorySystem &mem) const override
     {
         return std::make_unique<TvarakMemController>(mem);
     }
-
-    bool engineCoversDaxData() const override { return true; }
-    bool coversMappedFiles() const override { return true; }
-    bool absorbsWritesWhileDegraded() const override { return true; }
-    bool maintainsMappedParity() const override { return true; }
-    bool detectsTransientReads() const override { return true; }
-    FaultDetection faultDetection() const override
-    {
-        return FaultDetection::FillVerify;
-    }
-
-  protected:
-    TvarakDesign(std::string cliName, std::string displayName)
-        : Design(DesignKind::Tvarak, std::move(cliName),
-                 std::move(displayName))
-    {}
-};
-
-/** A Fig-9 ablation point: full TVARAK machinery with the cumulative
- *  optimization switches pinned by adjustConfig(). */
-class TvarakVariantDesign final : public TvarakDesign
-{
-  public:
-    TvarakVariantDesign(std::string cliName, std::string displayName,
-                        bool daxClChecksums, bool redundancyCaching,
-                        bool dataDiffs)
-        : TvarakDesign(std::move(cliName), std::move(displayName)),
-          daxClChecksums_(daxClChecksums),
-          redundancyCaching_(redundancyCaching), dataDiffs_(dataDiffs)
-    {}
-
-    void adjustConfig(SimConfig &cfg) const override
-    {
-        cfg.tvarak.useDaxClChecksums = daxClChecksums_;
-        cfg.tvarak.useRedundancyCaching = redundancyCaching_;
-        cfg.tvarak.useDataDiffs = dataDiffs_;
-    }
-
-  private:
-    bool daxClChecksums_;
-    bool redundancyCaching_;
-    bool dataDiffs_;
 };
 
 /**
  * A Reed-Solomon n+k geometry: full TVARAK machinery over a GF(2^8)
- * erasure code. adjustConfig pins the array shape the way the Fig-9
- * variants pin the ablation switches — the design owns its geometry,
- * so every harness (bench, trace, fault, service) gets a consistent
- * n+k array just by naming the design.
+ * erasure code. adjustConfig pins the array shape — the design owns
+ * its geometry, so every harness (bench, trace, fault, service) gets
+ * a consistent n+k array just by naming the design.
  */
 class TvarakRsDesign final : public TvarakDesign
 {
   public:
     TvarakRsDesign(std::string cliName, std::string displayName,
                    std::size_t dimms, std::size_t parityDimms)
-        : TvarakDesign(std::move(cliName), std::move(displayName)),
+        : TvarakDesign(std::move(cliName), std::move(displayName),
+                       {MappedChecksum::DaxCl, ParityKeeper::Controller,
+                        parityDimms, true, true}),
           dimms_(dimms), parityDimms_(parityDimms)
     {}
 
@@ -199,85 +141,35 @@ class TvarakRsDesign final : public TvarakDesign
         cfg.nvm.parityDimms = parityDimms_;
     }
 
-    std::size_t survivableFailures() const override
-    {
-        return parityDimms_;
-    }
-
   private:
     std::size_t dimms_;
     std::size_t parityDimms_;
 };
 
-class TxBObjectDesign final : public Design
+/** No controller hardware: the scheme that @p makeScheme vends keeps
+ *  checksums and parity at transaction commit. */
+class SoftwareDesign final : public Design
 {
   public:
-    TxBObjectDesign()
-        : Design(DesignKind::TxBObjectCsums, "txb-object-csums",
-                 "TxB-Object-Csums")
+    using SchemeFactory =
+        std::unique_ptr<RedundancyScheme> (*)(MemorySystem &mem);
+
+    SoftwareDesign(DesignKind kind, std::string cliName,
+                   std::string displayName, const Coverage &coverage,
+                   SchemeFactory makeScheme)
+        : Design(kind, std::move(cliName), std::move(displayName),
+                 coverage),
+          makeScheme_(makeScheme)
     {}
 
     std::unique_ptr<RedundancyScheme>
     makeScheme(MemorySystem &mem) const override
     {
-        return std::make_unique<TxBObjectCsums>(mem);
-    }
-
-    bool maintainsMappedParity() const override { return true; }
-    FaultDetection faultDetection() const override
-    {
-        return FaultDetection::ObjectSweep;
-    }
-};
-
-class TxBPageDesign final : public Design
-{
-  public:
-    TxBPageDesign()
-        : Design(DesignKind::TxBPageCsums, "txb-page-csums",
-                 "TxB-Page-Csums")
-    {}
-
-    std::unique_ptr<RedundancyScheme>
-    makeScheme(MemorySystem &mem) const override
-    {
-        return std::make_unique<TxBPageCsums>(mem);
-    }
-
-    bool coversMappedFiles() const override { return true; }
-    bool maintainsMappedParity() const override { return true; }
-    FaultDetection faultDetection() const override
-    {
-        return FaultDetection::PageScrub;
-    }
-};
-
-class VilambDesign final : public Design
-{
-  public:
-    explicit VilambDesign(std::size_t epochCommits = 64)
-        : Design(DesignKind::Vilamb, "vilamb", "Vilamb"),
-          epochCommits_(epochCommits)
-    {}
-
-    std::unique_ptr<RedundancyScheme>
-    makeScheme(MemorySystem &mem) const override
-    {
-        return std::make_unique<VilambAsyncCsums>(mem, epochCommits_);
-    }
-
-    // Same machine model and coverage surface as TxB-Page-Csums; the
-    // difference is *when* the page work runs (epoch batches), which
-    // is why campaigns must drain() before scrubbing.
-    bool coversMappedFiles() const override { return true; }
-    bool maintainsMappedParity() const override { return true; }
-    FaultDetection faultDetection() const override
-    {
-        return FaultDetection::PageScrub;
+        return makeScheme_(mem);
     }
 
   private:
-    std::size_t epochCommits_;
+    SchemeFactory makeScheme_;
 };
 
 // ------------------------------------------------------ the registry
@@ -312,19 +204,48 @@ ensureBuiltins()
 {
     static const bool once = [] {
         static const BaselineDesign baseline;
-        static const TvarakDesign tvarak;
-        static const TxBObjectDesign txbObject;
-        static const TxBPageDesign txbPage;
-        static const VilambDesign vilamb;
+        static const TvarakDesign tvarak(
+            "tvarak", "Tvarak",
+            {MappedChecksum::DaxCl, ParityKeeper::Controller, 1, true,
+             true});
+        // Pangolin-like object checksums, and page checksums updated
+        // at every commit or (Vilamb) batched over 64-commit epochs.
+        // Vilamb's coverage is TxB-Page's; the difference is *when*
+        // the page work runs, which is why campaigns must drain()
+        // before scrubbing.
+        static const SoftwareDesign txbObject(
+            DesignKind::TxBObjectCsums, "txb-object-csums",
+            "TxB-Object-Csums",
+            {MappedChecksum::Object, ParityKeeper::Software, 1},
+            [](MemorySystem &mem) -> std::unique_ptr<RedundancyScheme> {
+                return std::make_unique<TxBObjectCsums>(mem);
+            });
+        static const SoftwareDesign txbPage(
+            DesignKind::TxBPageCsums, "txb-page-csums", "TxB-Page-Csums",
+            {MappedChecksum::Page, ParityKeeper::Software, 1},
+            [](MemorySystem &mem) -> std::unique_ptr<RedundancyScheme> {
+                return std::make_unique<TxBPageCsums>(mem);
+            });
+        static const SoftwareDesign vilamb(
+            DesignKind::Vilamb, "vilamb", "Vilamb",
+            {MappedChecksum::Page, ParityKeeper::Software, 1},
+            [](MemorySystem &mem) -> std::unique_ptr<RedundancyScheme> {
+                return std::make_unique<VilambAsyncCsums>(mem, 64);
+            });
         // Fig 9 cumulative ablation points (naive -> +DAX-CL-csums ->
         // +red-caching; adding +data-diffs is full "tvarak").
-        static const TvarakVariantDesign naive(
-            "tvarak-naive", "Tvarak-Naive", false, false, false);
-        static const TvarakVariantDesign noRedCache(
-            "tvarak-no-red-cache", "Tvarak-No-Red-Cache", true, false,
-            false);
-        static const TvarakVariantDesign noDiffs(
-            "tvarak-no-diffs", "Tvarak-No-Diffs", true, true, false);
+        static const TvarakDesign naive(
+            "tvarak-naive", "Tvarak-Naive",
+            {MappedChecksum::Page, ParityKeeper::Controller, 1, false,
+             false});
+        static const TvarakDesign noRedCache(
+            "tvarak-no-red-cache", "Tvarak-No-Red-Cache",
+            {MappedChecksum::DaxCl, ParityKeeper::Controller, 1, false,
+             false});
+        static const TvarakDesign noDiffs(
+            "tvarak-no-diffs", "Tvarak-No-Diffs",
+            {MappedChecksum::DaxCl, ParityKeeper::Controller, 1, true,
+             false});
         // Reed-Solomon n+k geometries (double-failure survivable).
         static const TvarakRsDesign rs42("tvarak-rs4+2", "Tvarak-RS4+2",
                                          6, 2);

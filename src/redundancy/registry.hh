@@ -7,13 +7,13 @@
  * MemorySystem at the LLC/NVM boundary (fill verification, writeback
  * redundancy update, diff capture, victim handling, degraded-read
  * participation), the software-side `RedundancyScheme` run at
- * transaction commit, the LLC way-partition reservation, and the
- * policy queries that DaxFs, the scrubber and the fault tool key off.
+ * transaction commit, and the `Coverage` value (paper Table I) that
+ * DaxFs, the scrubber, the rebuild engine and the fault tool key off.
  *
  * Designs live in a string-keyed registry that config, CLI, bench,
  * trace and fault tooling all resolve through: `--design vilamb`
  * works everywhere, and the Fig-9 ablation points are registered
- * `tvarak-*` variants rather than loose SimConfig switches.
+ * `tvarak-*` designs whose coverage turns controller options off.
  *
  * This translation unit pair is the only place allowed to switch or
  * compare on `DesignKind` (lint rule R8): everything else dispatches
@@ -51,17 +51,16 @@ class MemController
 
     /**
      * A line was just read from NVM media into the LLC. May verify
-     * and repair @p media in place.
-     * @return demand-path cycles to charge the loading thread
-     *         (verification overlapped with data delivery returns 0).
+     * and repair @p media in place. Verification overlaps data
+     * delivery (paper Section III-E), so it charges the loading
+     * thread no cycles.
      */
-    virtual Cycles fillLine(std::size_t bank, Addr nvmAddr,
-                            std::uint8_t *media)
+    virtual void fillLine(std::size_t bank, Addr nvmAddr,
+                          std::uint8_t *media)
     {
         (void)bank;
         (void)nvmAddr;
         (void)media;
-        return 0;
     }
 
     /**
@@ -112,17 +111,6 @@ class MemController
         (void)media;
         return 0;
     }
-
-    /**
-     * True iff the design maintains @p nvmAddr's redundancy in the
-     * at-rest (media) world, so stripe members for reconstruction must
-     * be read from media rather than the current-value store.
-     */
-    virtual bool atRestLine(Addr nvmAddr)
-    {
-        (void)nvmAddr;
-        return false;
-    }
 };
 
 /** How a design detects at-rest corruption (keys the fault tool's
@@ -132,6 +120,96 @@ enum class FaultDetection {
     FillVerify,  //!< per-fill checksum verification (TVARAK)
     PageScrub,   //!< page-checksum scrubbing (TxB-Page, Vilamb)
     ObjectSweep, //!< object-checksum sweep + parity scrub (TxB-Object)
+};
+
+/** The checksum that covers DAX-mapped data. */
+enum class MappedChecksum {
+    None,    //!< no checksum (Baseline)
+    DaxCl,   //!< one checksum per cache line, kept by the controller
+    Page,    //!< one checksum per page (naive controller, TxB-Page,
+             //!< Vilamb)
+    Object,  //!< one checksum per pmem object (TxB-Object)
+};
+
+/** Who keeps the cross-DIMM parity of mapped data current. */
+enum class ParityKeeper {
+    None,        //!< nobody (Baseline)
+    Controller,  //!< the LLC-bank controller, at writeback
+    Software,    //!< the software scheme, at transaction commit
+};
+
+/**
+ * What a design's redundancy covers: paper Table I as one value.
+ * Every policy question the file system, the rebuild engine, the
+ * memory system and the fault tools ask is a one-line function of
+ * these fields.
+ */
+struct Coverage {
+    MappedChecksum mappedChecksum = MappedChecksum::None;
+    ParityKeeper parity = ParityKeeper::None;
+    /**
+     * Concurrent whole-DIMM losses the design's redundancy can
+     * reconstruct through without data loss: 0 without cross-DIMM
+     * parity, 1 for single XOR parity, k for the Reed-Solomon n+k
+     * designs. Fault schedules that fail more DIMMs at once must
+     * expect *detected* loss, never silence.
+     */
+    std::size_t survivableFailures = 0;
+    /** @name Fig 9 controller options (controller designs only) */
+    /**@{*/
+    /** Cache redundancy lines (on-controller cache + LLC partition);
+     *  off = every redundancy access goes to NVM. */
+    bool redundancyCaching = false;
+    /** Keep data diffs in an LLC partition; off = re-read old data
+     *  from NVM at writeback time (also the exclusive-LLC config). */
+    bool dataDiffs = false;
+    /**@}*/
+
+    /** The controller keeps mapped data's checksums and parity in the
+     *  at-rest (media) world; a DIMM can be rebuilt online while
+     *  writes continue. */
+    bool controllerKeepsParity() const
+    {
+        return parity == ParityKeeper::Controller;
+    }
+    /** Cross-DIMM parity covers mapped data (DIMM loss survivable). */
+    bool hasMappedParity() const { return parity != ParityKeeper::None; }
+    /** Writes proceed while a DIMM is down. Software parity is
+     *  recomputed over the stripe, which needs a consistent image, so
+     *  those designs pause writes instead. */
+    bool writesWhileDegraded() const
+    {
+        return parity != ParityKeeper::Software;
+    }
+    /** Mapped files keep line or page checksums, so the scrubber may
+     *  verify and repair them while mapped. */
+    bool scrubsMappedFiles() const
+    {
+        return mappedChecksum == MappedChecksum::DaxCl ||
+            mappedChecksum == MappedChecksum::Page;
+    }
+    /** Where at-rest corruption is caught. */
+    FaultDetection detection() const
+    {
+        return controllerKeepsParity() ? FaultDetection::FillVerify
+            : mappedChecksum == MappedChecksum::Object
+            ? FaultDetection::ObjectSweep
+            : mappedChecksum == MappedChecksum::Page
+            ? FaultDetection::PageScrub
+            : FaultDetection::None;
+    }
+    /** Corruptions are caught on the read path, so transient
+     *  misdirected reads are detectable events, not silent. */
+    bool checksOnRead() const
+    {
+        return detection() == FaultDetection::FillVerify;
+    }
+    /** LLC ways per bank the controller's partitions borrow. */
+    std::size_t reservedLlcWays(const SimConfig &cfg) const
+    {
+        return (redundancyCaching ? cfg.tvarak.redundancyWays : 0) +
+            (dataDiffs ? cfg.tvarak.diffWays : 0);
+    }
 };
 
 /**
@@ -157,22 +235,16 @@ class Design
     /** Report/display spelling, e.g. "TxB-Page-Csums". */
     const char *displayName() const { return displayName_.c_str(); }
 
+    /** What the design's redundancy covers (paper Table I). */
+    const Coverage &coverage() const { return coverage_; }
+
     /**
      * Force design-owned SimConfig fields (applied to MemorySystem's
-     * private config copy before anything reads it). The Fig-9
-     * variants pin the deprecated TvarakParams::use* switches here;
-     * the plain designs leave the config untouched so traces that
-     * serialized non-default switch values replay identically.
+     * private config copy before anything reads it). The RS designs
+     * pin their array geometry here; the others leave the config
+     * untouched.
      */
     virtual void adjustConfig(SimConfig &cfg) const { (void)cfg; }
-
-    /** LLC ways per bank the design's hardware reserves (evaluated
-     *  after adjustConfig). */
-    virtual std::size_t reservedLlcWays(const SimConfig &cfg) const
-    {
-        (void)cfg;
-        return 0;
-    }
 
     /** Hardware-side hook; the default is the null controller. */
     virtual std::unique_ptr<MemController>
@@ -182,51 +254,18 @@ class Design
     virtual std::unique_ptr<RedundancyScheme>
     makeScheme(MemorySystem &mem) const;
 
-    /** @name Policy queries (filesystem / scrubber / fault tool) */
-    /**@{*/
-    /** Redundancy of DAX-mapped data lives in the engine's at-rest
-     *  world (cache-line checksums + media parity). */
-    virtual bool engineCoversDaxData() const { return false; }
-    /** Mapped files keep redundancy coverage, so the scrubber may
-     *  verify/repair them while mapped. */
-    virtual bool coversMappedFiles() const { return false; }
-    /** Writes proceed while a DIMM is down (redundancy updates are
-     *  dropped or unnecessary); false = the campaign pauses writes. */
-    virtual bool absorbsWritesWhileDegraded() const { return false; }
-    /** Cross-DIMM parity is maintained for mapped data, so DIMM loss
-     *  is survivable. */
-    virtual bool maintainsMappedParity() const { return false; }
-    /**
-     * Concurrent whole-DIMM losses the design's redundancy can
-     * reconstruct through without data loss. 0 for designs with no
-     * cross-DIMM parity, 1 for the single-XOR geometries, k for the
-     * Reed-Solomon n+k designs. Fault schedules that fail more DIMMs
-     * at once than this must expect *detected* loss, never silence.
-     */
-    virtual std::size_t survivableFailures() const
-    {
-        return maintainsMappedParity() ? 1 : 0;
-    }
-    /** Corruptions are caught on the read path (transient misdirected
-     *  reads are detectable events, not silent). */
-    virtual bool detectsTransientReads() const { return false; }
-    /** Detect/repair strategy for at-rest corruption. */
-    virtual FaultDetection faultDetection() const
-    {
-        return FaultDetection::None;
-    }
-    /**@}*/
-
   protected:
-    Design(DesignKind kind, std::string cliName, std::string displayName)
+    Design(DesignKind kind, std::string cliName, std::string displayName,
+           const Coverage &coverage)
         : kind_(kind), cliName_(std::move(cliName)),
-          displayName_(std::move(displayName))
+          displayName_(std::move(displayName)), coverage_(coverage)
     {}
 
   private:
     DesignKind kind_;
     std::string cliName_;
     std::string displayName_;
+    Coverage coverage_;
 };
 
 /** @name The design registry */

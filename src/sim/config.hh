@@ -94,7 +94,8 @@ struct NvmParams {
     std::size_t dimmsPerDomain = 1;
 };
 
-/** TVARAK controller parameters and design-ablation switches. */
+/** TVARAK controller parameters. The Fig 9 ablation points are
+ *  registered designs (`--design tvarak-naive` etc.), not fields. */
 struct TvarakParams {
     /** On-controller redundancy cache size (per LLC bank). */
     std::size_t cacheBytes = 4096;
@@ -104,43 +105,12 @@ struct TvarakParams {
     PicoJoules cacheMissEnergy = 33.0;
     /** Cycles for DAX address range matching (comparators). */
     Cycles rangeMatchLatency = 2;
-    /**
-     * If true, NVM->LLC fills block until the DAX-CL-checksum
-     * verification completes (adds its latency to the demand path).
-     * The default models verification concurrent with data delivery:
-     * the controller raises an interrupt on mismatch (Section III-E),
-     * so the common case costs bandwidth and energy but no latency.
-     */
-    bool syncVerification = false;
     /** Cycles per checksum/parity computation or verification. */
     Cycles computeLatency = 1;
     /** LLC ways (out of llc.ways) reserved for caching redundancy. */
     std::size_t redundancyWays = 2;
     /** LLC ways reserved for storing data diffs. */
     std::size_t diffWays = 1;
-
-    /**
-     * @name Fig 9 ablation switches (all on == full TVARAK).
-     *
-     * Deprecated as user-facing knobs: select a registered design
-     * variant instead (`--design tvarak-naive` /
-     * `tvarak-no-red-cache` / `tvarak-no-diffs`), whose
-     * `Design::adjustConfig()` forces these fields. They remain in
-     * SimConfig only because the frozen trace header serializes them;
-     * the plain "tvarak" design leaves them untouched so old traces
-     * that recorded non-default values still replay identically.
-     */
-    /**@{*/
-    /** Cache-line granular checksums; off = page-granular naive
-     *  checksums that force whole-page reads on every writeback. */
-    bool useDaxClChecksums = true;
-    /** Cache redundancy lines (on-controller cache + LLC partition);
-     *  off = every redundancy access goes to NVM. */
-    bool useRedundancyCaching = true;
-    /** Keep data diffs in an LLC partition; off = re-read old data
-     *  from NVM at writeback time (also the exclusive-LLC config). */
-    bool useDataDiffs = true;
-    /**@}*/
 };
 
 /** Whole-machine configuration (defaults == Table III). */

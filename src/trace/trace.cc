@@ -229,6 +229,18 @@ validateRecords(const TraceData &trace, std::string &err)
     return true;
 }
 
+/**
+ * Config slots of retired fields keep their v1 positions and hold a
+ * constant: the slot after rangeMatchLatency held syncVerification
+ * (fill verification now always overlaps data delivery), and the
+ * three after diffWays held useDaxClChecksums, useRedundancyCaching
+ * and useDataDiffs (the Fig 9 ladder now belongs to the design). The
+ * writer emits the constants; the reader rejects any other value.
+ */
+constexpr std::uint64_t kReservedVerifySlot = 0;
+constexpr std::uint64_t kReservedLadderSlot = 1;
+constexpr int kLadderSlots = 3;
+
 std::vector<std::uint8_t>
 serializeConfig(const SimConfig &cfg)
 {
@@ -256,13 +268,12 @@ serializeConfig(const SimConfig &cfg)
     putF64(buf, cfg.tvarak.cacheHitEnergy);
     putF64(buf, cfg.tvarak.cacheMissEnergy);
     putU64(buf, cfg.tvarak.rangeMatchLatency);
-    putU64(buf, cfg.tvarak.syncVerification ? 1 : 0);
+    putU64(buf, kReservedVerifySlot);
     putU64(buf, cfg.tvarak.computeLatency);
     putU64(buf, cfg.tvarak.redundancyWays);
     putU64(buf, cfg.tvarak.diffWays);
-    putU64(buf, cfg.tvarak.useDaxClChecksums ? 1 : 0);
-    putU64(buf, cfg.tvarak.useRedundancyCaching ? 1 : 0);
-    putU64(buf, cfg.tvarak.useDataDiffs ? 1 : 0);
+    for (int i = 0; i < kLadderSlots; i++)
+        putU64(buf, kReservedLadderSlot);
     putU64(buf, cfg.storeIssueCycles);
     putF64(buf, cfg.storeMissLatencyFactor);
     putU64(buf, cfg.prefetchDegree);
@@ -313,19 +324,14 @@ deserializeConfig(const std::vector<std::uint8_t> &blob, SimConfig &cfg)
     ok = ok && getF64(p, end, cfg.tvarak.cacheHitEnergy);
     ok = ok && getF64(p, end, cfg.tvarak.cacheMissEnergy);
     ok = ok && getU64(p, end, cfg.tvarak.rangeMatchLatency);
-    ok = ok && getU64(p, end, u);
-    cfg.tvarak.syncVerification = u != 0;
+    ok = ok && getU64(p, end, u) && u == kReservedVerifySlot;
     ok = ok && getU64(p, end, cfg.tvarak.computeLatency);
     ok = ok && getU64(p, end, u);
     cfg.tvarak.redundancyWays = u;
     ok = ok && getU64(p, end, u);
     cfg.tvarak.diffWays = u;
-    ok = ok && getU64(p, end, u);
-    cfg.tvarak.useDaxClChecksums = u != 0;
-    ok = ok && getU64(p, end, u);
-    cfg.tvarak.useRedundancyCaching = u != 0;
-    ok = ok && getU64(p, end, u);
-    cfg.tvarak.useDataDiffs = u != 0;
+    for (int i = 0; i < kLadderSlots; i++)
+        ok = ok && getU64(p, end, u) && u == kReservedLadderSlot;
     ok = ok && getU64(p, end, cfg.storeIssueCycles);
     ok = ok && getF64(p, end, cfg.storeMissLatencyFactor);
     ok = ok && getU64(p, end, u);

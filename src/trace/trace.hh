@@ -55,7 +55,8 @@ struct TraceData {
 
 /** Serialize @p cfg to the fixed-field-order blob fingerprints cover. */
 std::vector<std::uint8_t> serializeConfig(const SimConfig &cfg);
-/** Inverse of serializeConfig. @return false on a short/long blob. */
+/** Inverse of serializeConfig. @return false on a short/long blob or
+ *  a reserved slot that does not hold its constant. */
 bool deserializeConfig(const std::vector<std::uint8_t> &blob,
                        SimConfig &cfg);
 

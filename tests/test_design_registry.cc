@@ -111,71 +111,71 @@ TEST(DesignRegistry, RegisteredNameListMentionsEveryDesign)
 }
 
 // ------------------------------------------------------------------
-// Policy bits and variant config pinning.
+// Paper Table I: every built-in design's coverage, and every policy
+// answer derived from it.
 // ------------------------------------------------------------------
 
-TEST(DesignRegistry, PolicyBitsMatchTheDesignTaxonomy)
+TEST(DesignRegistry, CoverageMatchesPaperTableOne)
 {
-    const Design &base = designOf(DesignKind::Baseline);
-    EXPECT_FALSE(base.engineCoversDaxData());
-    EXPECT_TRUE(base.absorbsWritesWhileDegraded());
-    EXPECT_EQ(base.faultDetection(), FaultDetection::None);
-
-    const Design &tvk = designOf(DesignKind::Tvarak);
-    EXPECT_TRUE(tvk.engineCoversDaxData());
-    EXPECT_TRUE(tvk.coversMappedFiles());
-    EXPECT_TRUE(tvk.absorbsWritesWhileDegraded());
-    EXPECT_TRUE(tvk.maintainsMappedParity());
-    EXPECT_TRUE(tvk.detectsTransientReads());
-    EXPECT_EQ(tvk.faultDetection(), FaultDetection::FillVerify);
-
-    const Design &obj = designOf(DesignKind::TxBObjectCsums);
-    EXPECT_FALSE(obj.coversMappedFiles());
-    EXPECT_TRUE(obj.maintainsMappedParity());
-    EXPECT_EQ(obj.faultDetection(), FaultDetection::ObjectSweep);
-
-    // Vilamb is the TxB-Page machine model, batched: same coverage
-    // surface, same scrub-based detection.
-    const Design &pg = designOf(DesignKind::TxBPageCsums);
-    const Design &vl = designOf(DesignKind::Vilamb);
-    for (const Design *d : {&pg, &vl}) {
-        EXPECT_FALSE(d->engineCoversDaxData()) << d->cliName();
-        EXPECT_TRUE(d->coversMappedFiles()) << d->cliName();
-        EXPECT_FALSE(d->absorbsWritesWhileDegraded()) << d->cliName();
-        EXPECT_TRUE(d->maintainsMappedParity()) << d->cliName();
-        EXPECT_FALSE(d->detectsTransientReads()) << d->cliName();
-        EXPECT_EQ(d->faultDetection(), FaultDetection::PageScrub)
-            << d->cliName();
-    }
-}
-
-TEST(DesignRegistry, VariantsPinAblationSwitchesPlainTvarakDoesNot)
-{
-    struct Expect {
+    using MC = MappedChecksum;
+    using PK = ParityKeeper;
+    using FD = FaultDetection;
+    struct Row {
         const char *name;
-        bool cl, cache, diffs;
+        // The coverage fields.
+        MappedChecksum checksum;
+        ParityKeeper parity;
+        std::size_t survivable;
+        bool caching, diffs;
+        // The derived answers; ways under the Table III machine.
+        FaultDetection detection;
+        bool controller, mappedParity, degradedWrites, scrubsMapped,
+            onRead;
+        std::size_t ways;
     };
-    const Expect expects[] = {
-        {"tvarak-naive", false, false, false},
-        {"tvarak-no-red-cache", true, false, false},
-        {"tvarak-no-diffs", true, true, false},
+    const Row rows[] = {
+        {"baseline", MC::None, PK::None, 0, false, false,
+         FD::None, false, false, true, false, false, 0},
+        {"tvarak", MC::DaxCl, PK::Controller, 1, true, true,
+         FD::FillVerify, true, true, true, true, true, 3},
+        {"txb-object-csums", MC::Object, PK::Software, 1, false, false,
+         FD::ObjectSweep, false, true, false, false, false, 0},
+        {"txb-page-csums", MC::Page, PK::Software, 1, false, false,
+         FD::PageScrub, false, true, false, true, false, 0},
+        {"vilamb", MC::Page, PK::Software, 1, false, false,
+         FD::PageScrub, false, true, false, true, false, 0},
+        {"tvarak-naive", MC::Page, PK::Controller, 1, false, false,
+         FD::FillVerify, true, true, true, true, true, 0},
+        {"tvarak-no-red-cache", MC::DaxCl, PK::Controller, 1, false, false,
+         FD::FillVerify, true, true, true, true, true, 0},
+        {"tvarak-no-diffs", MC::DaxCl, PK::Controller, 1, true, false,
+         FD::FillVerify, true, true, true, true, true, 2},
+        {"tvarak-rs4+2", MC::DaxCl, PK::Controller, 2, true, true,
+         FD::FillVerify, true, true, true, true, true, 3},
+        {"tvarak-rs6+2", MC::DaxCl, PK::Controller, 2, true, true,
+         FD::FillVerify, true, true, true, true, true, 3},
     };
-    for (const Expect &e : expects) {
-        const Design *d = findDesign(e.name);
-        ASSERT_NE(d, nullptr) << e.name;
-        EXPECT_EQ(d->kind(), DesignKind::Tvarak) << e.name;
-        SimConfig cfg;
-        d->adjustConfig(cfg);
-        EXPECT_EQ(cfg.tvarak.useDaxClChecksums, e.cl) << e.name;
-        EXPECT_EQ(cfg.tvarak.useRedundancyCaching, e.cache) << e.name;
-        EXPECT_EQ(cfg.tvarak.useDataDiffs, e.diffs) << e.name;
+    ASSERT_EQ(std::size(rows), std::size(kBuiltins));
+    const SimConfig cfg;
+    for (std::size_t i = 0; i < std::size(rows); i++) {
+        const Row &r = rows[i];
+        EXPECT_STREQ(r.name, kBuiltins[i]);
+        const Design *d = findDesign(r.name);
+        ASSERT_NE(d, nullptr) << r.name;
+        const Coverage &c = d->coverage();
+        EXPECT_EQ(c.mappedChecksum, r.checksum) << r.name;
+        EXPECT_EQ(c.parity, r.parity) << r.name;
+        EXPECT_EQ(c.survivableFailures, r.survivable) << r.name;
+        EXPECT_EQ(c.redundancyCaching, r.caching) << r.name;
+        EXPECT_EQ(c.dataDiffs, r.diffs) << r.name;
+        EXPECT_EQ(c.detection(), r.detection) << r.name;
+        EXPECT_EQ(c.controllerKeepsParity(), r.controller) << r.name;
+        EXPECT_EQ(c.hasMappedParity(), r.mappedParity) << r.name;
+        EXPECT_EQ(c.writesWhileDegraded(), r.degradedWrites) << r.name;
+        EXPECT_EQ(c.scrubsMappedFiles(), r.scrubsMapped) << r.name;
+        EXPECT_EQ(c.checksOnRead(), r.onRead) << r.name;
+        EXPECT_EQ(c.reservedLlcWays(cfg), r.ways) << r.name;
     }
-    // The plain design leaves the deprecated switches alone, so traces
-    // that serialized non-default values replay identically.
-    SimConfig cfg;
-    cfg.tvarak.useDataDiffs = false;
-    designOf(DesignKind::Tvarak).adjustConfig(cfg);
-    EXPECT_FALSE(cfg.tvarak.useDataDiffs);
 }
 
 TEST(DesignRegistry, VilambDesignVendsItsAsyncScheme)
@@ -266,7 +266,7 @@ class NullTestDesign final : public Design
   public:
     NullTestDesign(std::string cli, std::string display)
         : Design(DesignKind::Baseline, std::move(cli),
-                 std::move(display))
+                 std::move(display), {})
     {}
 };
 

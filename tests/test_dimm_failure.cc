@@ -173,7 +173,7 @@ TEST(DimmFailure, RsSecondFailureMidRebuildBitExact)
     // bit-exact against a never-failed twin.
     const Design *d = findDesign("tvarak-rs4+2");
     ASSERT_NE(d, nullptr);
-    ASSERT_EQ(d->survivableFailures(), 2u);
+    ASSERT_EQ(d->coverage().survivableFailures, 2u);
     MapRig faulty(*d);
     MapRig twin(*d);
 

@@ -140,7 +140,7 @@ TEST(LintConfig, ParsesTheRealConfigHeader)
     };
     EXPECT_TRUE(has("CacheParams", "sizeBytes"));
     EXPECT_TRUE(has("NvmParams", "occupancyWriteFactor"));
-    EXPECT_TRUE(has("TvarakParams", "useDataDiffs"));
+    EXPECT_TRUE(has("TvarakParams", "diffWays"));
     EXPECT_TRUE(has("SimConfig", "prefetchDegree"));
     EXPECT_TRUE(has("SimConfig", "llcBank"));
     // Member functions and enums must not show up as fields.

@@ -178,12 +178,8 @@ TEST(PaperClaims, NaiveControllerFarWorseThanTvarak)
     SimConfig cfg = evalConfig();
     Cycles tvarak = runExperiment(cfg, DesignKind::Tvarak, factory)
                         .runtimeCycles;
-    SimConfig naive_cfg = cfg;
-    naive_cfg.tvarak.useDaxClChecksums = false;
-    naive_cfg.tvarak.useRedundancyCaching = false;
-    naive_cfg.tvarak.useDataDiffs = false;
     Cycles naive =
-        runExperiment(naive_cfg, DesignKind::Tvarak, factory)
+        runExperiment(cfg, *findDesign("tvarak-naive"), factory)
             .runtimeCycles;
     EXPECT_GT(static_cast<double>(naive),
               1.5 * static_cast<double>(tvarak));

@@ -2,9 +2,9 @@
  * @file
  * Property tests with a shadow-memory oracle: arbitrary access
  * sequences through the full simulated hierarchy must always agree
- * with a flat reference buffer, under every design, every TVARAK
- * ablation configuration, and across flushes, cold restarts, map/unmap
- * cycles and FS I/O.
+ * with a flat reference buffer, under every paper design, every
+ * design whose controller keeps its parity, and across flushes, cold
+ * restarts, map/unmap cycles and FS I/O.
  */
 
 #include <gtest/gtest.h>
@@ -79,25 +79,21 @@ INSTANTIATE_TEST_SUITE_P(
         return n;
     });
 
-class AblationOracle
-    : public ::testing::TestWithParam<std::tuple<bool, bool, bool>>
+class AblationOracle : public ::testing::TestWithParam<const Design *>
 {};
 
 TEST_P(AblationOracle, FunctionalUnderEveryTvarakConfig)
 {
-    auto [dax_cl, red_cache, diffs] = GetParam();
-    SimConfig cfg = test::smallConfig();
-    cfg.tvarak.useDaxClChecksums = dax_cl;
-    cfg.tvarak.useRedundancyCaching = red_cache;
-    cfg.tvarak.useDataDiffs = diffs;
-    MemorySystem mem(cfg, DesignKind::Tvarak);
+    const Design &design = *GetParam();
+    const Coverage &cov = design.coverage();
+    MemorySystem mem(test::smallConfig(), design);
     DaxFs fs(mem);
     const std::size_t bytes = 16 * kPageBytes;
     int fd = fs.create("oracle", bytes);
     Addr base = fs.daxMap(fd);
     std::vector<std::uint8_t> shadow(bytes, 0);
-    Rng rng(7 + (dax_cl ? 1 : 0) + (red_cache ? 2 : 0) +
-            (diffs ? 4 : 0));
+    Rng rng(7 + (cov.mappedChecksum == MappedChecksum::DaxCl ? 1 : 0) +
+            (cov.redundancyCaching ? 2 : 0) + (cov.dataDiffs ? 4 : 0));
 
     for (int step = 0; step < 4000; step++) {
         std::size_t off = rng.nextBounded(bytes - 8);
@@ -117,10 +113,9 @@ TEST_P(AblationOracle, FunctionalUnderEveryTvarakConfig)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Configs, AblationOracle,
-                         ::testing::Combine(::testing::Bool(),
-                                            ::testing::Bool(),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(
+    Designs, AblationOracle, ::testing::ValuesIn(test::controllerDesigns()),
+    [](const auto &info) { return test::paramName(info.param); });
 
 TEST(MapUnmapProperty, RepeatedCyclesPreserveDataAndCoverage)
 {

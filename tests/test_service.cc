@@ -270,7 +270,7 @@ TEST(Service, FaultScheduleCompletesWithRebuild)
 {
     const Design *d = findDesign("tvarak");
     ASSERT_NE(d, nullptr);
-    ASSERT_TRUE(d->maintainsMappedParity());
+    ASSERT_TRUE(d->coverage().controllerKeepsParity());
     ServiceConfig svc = tinyService();
     svc.requests = 128;
     svc.faults.push_back({1, 32, 64});
@@ -294,7 +294,7 @@ TEST(Service, MultiDimmFaultScheduleCompletesWithRebuild)
     // adopt both DIMMs, and the whole thing must stay deterministic.
     const Design *d = findDesign("tvarak-rs4+2");
     ASSERT_NE(d, nullptr);
-    ASSERT_GE(d->survivableFailures(), 2u);
+    ASSERT_GE(d->coverage().survivableFailures, 2u);
     ServiceConfig svc = tinyService();
     svc.requests = 160;
     svc.faults = {{0, 32, 64}, {1, 80, 112}};

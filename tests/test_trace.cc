@@ -12,10 +12,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/stream/stream.hh"
 #include "apps/trees/tree_workload.hh"
@@ -242,7 +250,7 @@ TEST(Trace, LoadRejectsGarbage)
 TEST(Trace, ConfigSerializationRoundTrip)
 {
     SimConfig cfg = test::smallConfig();
-    cfg.tvarak.syncVerification = true;
+    cfg.tvarak.computeLatency = 3;
     cfg.prefetchDegree = 2;
     auto blob = trace::serializeConfig(cfg);
     SimConfig back;
@@ -250,11 +258,72 @@ TEST(Trace, ConfigSerializationRoundTrip)
     EXPECT_EQ(trace::serializeConfig(back), blob);
     EXPECT_EQ(back.cores, cfg.cores);
     EXPECT_EQ(back.llcBank.sizeBytes, cfg.llcBank.sizeBytes);
-    EXPECT_TRUE(back.tvarak.syncVerification);
+    EXPECT_EQ(back.tvarak.computeLatency, 3u);
     EXPECT_EQ(back.prefetchDegree, 2u);
 
     blob.pop_back();
     EXPECT_FALSE(trace::deserializeConfig(blob, back));
+}
+
+/** Store @p v little-endian at @p at. */
+void
+putWord(std::uint8_t *at, std::uint64_t v)
+{
+    for (std::size_t i = 0; i < 8; i++)
+        at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+TEST(Trace, BentReservedSlotFailsToLoad)
+{
+    const std::string path = "test_trace_bent_slot.trace";
+    trace::TraceData t;
+    t.cfg = test::smallConfig();
+    t.recordedDesign = DesignKind::Baseline;
+    t.threads = 1;
+    t.workloadName = "empty";
+    const auto blob = trace::serializeConfig(t.cfg);
+    t.configFingerprint = trace::fnv1a(blob.data(), blob.size());
+    ASSERT_TRUE(t.save(path));
+    std::ifstream in(path, std::ios::binary);  // lint:allow(R7)
+    const std::vector<std::uint8_t> good(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    const std::size_t cfgAt = static_cast<std::size_t>(
+        std::search(good.begin(), good.end(), blob.begin(), blob.end()) -
+        good.begin());
+    ASSERT_LT(cfgAt, good.size());
+
+    // Rewrite one 8-byte word of the config blob and re-seal the
+    // header's config fingerprint (the u64 after magic, version and
+    // design), so that the word is the only thing changed.
+    auto bend = [&](std::size_t word, std::uint64_t value) {
+        std::vector<std::uint8_t> bytes = good;
+        putWord(bytes.data() + cfgAt + 8 * word, value);
+        putWord(bytes.data() + 16,
+                trace::fnv1a(bytes.data() + cfgAt, blob.size()));
+        std::ofstream out(path, std::ios::binary);  // lint:allow(R7)
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    };
+    // Word 36 is computeLatency, an ordinary field: the control.
+    bend(36, 7);
+    auto loaded = trace::TraceData::load(path);
+    ASSERT_NE(loaded, nullptr);
+    EXPECT_EQ(loaded->cfg.tvarak.computeLatency, 7u);
+    // Word 35 is the retired verification slot (always 0), words
+    // 39..41 the retired Fig 9 ladder slots (always 1).
+    const std::pair<std::size_t, std::uint64_t> bent[] = {
+        {35, 1}, {39, 0}, {40, 0}, {41, 0}};
+    for (auto [word, value] : bent) {
+        bend(word, value);
+        EXPECT_EQ(trace::TraceData::load(path), nullptr) << "word " << word;
+    }
+    int rc = std::system((std::string(TVARAK_TRACE_CLI) + " info " +
+                          path + " > /dev/null 2>&1")
+                             .c_str());
+    ASSERT_TRUE(WIFEXITED(rc));
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << "tvarak-trace info exit status";
+    std::remove(path.c_str());
 }
 
 }  // namespace

@@ -8,13 +8,14 @@
  * injected firmware bugs (lost write / misdirected write / misdirected
  * read) are detected on first read and repaired from parity, and the
  * at-rest invariants (checksums match lines, parity matches stripes)
- * hold after arbitrary workloads under every ablation configuration.
+ * hold after arbitrary workloads under every design whose controller
+ * keeps its parity (TVARAK, its Fig 9 ablation points and the RS
+ * geometries).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <tuple>
 #include <vector>
 
 #include "checksum/checksum.hh"
@@ -51,9 +52,10 @@ atRestConsistent(MemorySystem &mem, DaxFs &fs, int /*fd*/)
 class TvarakTest : public ::testing::Test
 {
   protected:
-    void build(DesignKind design, SimConfig cfg = test::smallConfig())
+    void build(const char *design)
     {
-        mem = std::make_unique<MemorySystem>(cfg, design);
+        mem = std::make_unique<MemorySystem>(test::smallConfig(),
+                                             *findDesign(design));
         fs = std::make_unique<DaxFs>(*mem);
         fd = fs->create("data", kFilePages * kPageBytes);
         base = fs->daxMap(fd);
@@ -67,7 +69,7 @@ class TvarakTest : public ::testing::Test
 
 TEST_F(TvarakTest, FillsAreVerified)
 {
-    build(DesignKind::Tvarak);
+    build("tvarak");
     mem->stats().reset();
     (void)mem->read64(0, base);  // cold fill
     EXPECT_EQ(mem->stats().readVerifications, 1u);
@@ -77,7 +79,7 @@ TEST_F(TvarakTest, FillsAreVerified)
 
 TEST_F(TvarakTest, WritebacksUpdateRedundancy)
 {
-    build(DesignKind::Tvarak);
+    build("tvarak");
     mem->stats().reset();
     mem->write64(0, base, 1234);
     EXPECT_EQ(mem->stats().redundancyUpdates, 0u);
@@ -97,7 +99,7 @@ TEST_F(TvarakTest, WritebacksUpdateRedundancy)
 
 TEST_F(TvarakTest, RandomWorkloadKeepsInvariants)
 {
-    build(DesignKind::Tvarak);
+    build("tvarak");
     Rng rng(42);
     for (int i = 0; i < 20000; i++) {
         Addr a = base + rng.nextBounded(kFilePages * kPageBytes - 8);
@@ -110,24 +112,12 @@ TEST_F(TvarakTest, RandomWorkloadKeepsInvariants)
     EXPECT_TRUE(atRestConsistent(*mem, *fs, fd));
 }
 
-struct AblationParam {
-    bool daxCl;
-    bool redCache;
-    bool diffs;
-};
-
-class TvarakAblation
-    : public ::testing::TestWithParam<std::tuple<bool, bool, bool>>
+class TvarakAblation : public ::testing::TestWithParam<const Design *>
 {};
 
 TEST_P(TvarakAblation, InvariantsHoldInEveryConfiguration)
 {
-    auto [dax_cl, red_cache, diffs] = GetParam();
-    SimConfig cfg = test::smallConfig();
-    cfg.tvarak.useDaxClChecksums = dax_cl;
-    cfg.tvarak.useRedundancyCaching = red_cache;
-    cfg.tvarak.useDataDiffs = diffs;
-    MemorySystem mem(cfg, DesignKind::Tvarak);
+    MemorySystem mem(test::smallConfig(), *GetParam());
     DaxFs fs(mem);
     int fd = fs.create("data", 32 * kPageBytes);
     Addr base = fs.daxMap(fd);
@@ -148,10 +138,9 @@ TEST_P(TvarakAblation, InvariantsHoldInEveryConfiguration)
     EXPECT_EQ(fs.scrub(false), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Configs, TvarakAblation,
-                         ::testing::Combine(::testing::Bool(),
-                                            ::testing::Bool(),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(
+    Designs, TvarakAblation, ::testing::ValuesIn(test::controllerDesigns()),
+    [](const auto &info) { return test::paramName(info.param); });
 
 //
 // Fault injection: the three firmware bug classes of Section II.
@@ -161,7 +150,7 @@ class TvarakFaults : public TvarakTest {};
 
 TEST_F(TvarakFaults, LostWriteDetectedAndRecovered)
 {
-    build(DesignKind::Tvarak);
+    build("tvarak");
     Addr target = fs->filePage(fd, 3) + 5 * kLineBytes;
     Addr vaddr = base + 3 * kPageBytes + 5 * kLineBytes;
 
@@ -195,7 +184,7 @@ TEST_F(TvarakFaults, LostWriteDetectedAndRecovered)
 
 TEST_F(TvarakFaults, MisdirectedWriteVictimRecovered)
 {
-    build(DesignKind::Tvarak);
+    build("tvarak");
     // Intended target and victim: different pages on the same DIMM
     // (misdirection happens within one device's firmware).
     auto &nvm = mem->nvmArray();
@@ -233,7 +222,7 @@ TEST_F(TvarakFaults, MisdirectedWriteVictimRecovered)
 
 TEST_F(TvarakFaults, MisdirectedReadDetectedViaRetry)
 {
-    build(DesignKind::Tvarak);
+    build("tvarak");
     auto &nvm = mem->nvmArray();
     Addr a = fs->filePage(fd, 2);
     std::size_t b_idx = 3;
@@ -256,7 +245,7 @@ TEST_F(TvarakFaults, MisdirectedReadDetectedViaRetry)
 
 TEST_F(TvarakFaults, BaselineSilentlyConsumesCorruption)
 {
-    build(DesignKind::Baseline);
+    build("baseline");
     Addr vaddr = base + kPageBytes;
     Addr target = fs->filePage(fd, 1);
     mem->write64(0, vaddr, 0x1111);
@@ -273,9 +262,7 @@ TEST_F(TvarakFaults, BaselineSilentlyConsumesCorruption)
 
 TEST_F(TvarakFaults, RecoveryUnderNaivePageChecksums)
 {
-    SimConfig cfg = test::smallConfig();
-    cfg.tvarak.useDaxClChecksums = false;
-    build(DesignKind::Tvarak, cfg);
+    build("tvarak-naive");
     Addr vaddr = base + 2 * kPageBytes + 9 * kLineBytes;
     Addr target = fs->filePage(fd, 2) + 9 * kLineBytes;
     mem->write64(0, vaddr, 0x3333);
@@ -307,12 +294,9 @@ TEST(TvarakArea, DedicatedAreaMatchesPaper)
 
 TEST(TvarakCaching, RedundancyCachingCutsNvmTraffic)
 {
-    SimConfig cached_cfg = test::smallConfig();
-    SimConfig uncached_cfg = cached_cfg;
-    uncached_cfg.tvarak.useRedundancyCaching = false;
-
-    auto run = [](SimConfig cfg) {
-        MemorySystem mem(cfg, DesignKind::Tvarak);
+    // Adjacent Fig 9 rungs: the two designs differ only in caching.
+    auto run = [](const char *design) {
+        MemorySystem mem(test::smallConfig(), *findDesign(design));
         DaxFs fs(mem);
         int fd = fs.create("d", 32 * kPageBytes);
         Addr base = fs.daxMap(fd);
@@ -323,20 +307,16 @@ TEST(TvarakCaching, RedundancyCachingCutsNvmTraffic)
             (void)mem.read64(0, base + a);
         return mem.stats().nvmRedundancyReads;
     };
-    std::uint64_t with_cache = run(cached_cfg);
-    std::uint64_t without = run(uncached_cfg);
+    std::uint64_t with_cache = run("tvarak-no-diffs");
+    std::uint64_t without = run("tvarak-no-red-cache");
     EXPECT_LT(with_cache, without / 4)
         << "caching must exploit checksum-line reuse";
 }
 
 TEST(TvarakDiffs, DiffsAvoidOldDataReads)
 {
-    SimConfig with_cfg = test::smallConfig();
-    SimConfig without_cfg = with_cfg;
-    without_cfg.tvarak.useDataDiffs = false;
-
-    auto run = [](SimConfig cfg) {
-        MemorySystem mem(cfg, DesignKind::Tvarak);
+    auto run = [](const char *design) {
+        MemorySystem mem(test::smallConfig(), *findDesign(design));
         DaxFs fs(mem);
         int fd = fs.create("d", 16 * kPageBytes);
         Addr base = fs.daxMap(fd);
@@ -349,7 +329,7 @@ TEST(TvarakDiffs, DiffsAvoidOldDataReads)
         mem.flushAll();
         return mem.stats().nvmDataReads;
     };
-    EXPECT_LT(run(with_cfg), run(without_cfg));
+    EXPECT_LT(run("tvarak"), run("tvarak-no-diffs"));
 }
 
 }  // namespace

@@ -6,6 +6,11 @@
 
 #pragma once
 
+#include <cctype>
+#include <string>
+#include <vector>
+
+#include "redundancy/registry.hh"
 #include "sim/config.hh"
 
 namespace tvarak::test {
@@ -25,6 +30,30 @@ smallConfig()
     cfg.nvm.dimms = 4;
     cfg.nvm.dimmBytes = 16ull << 20;
     return cfg;
+}
+
+/** Every registered design whose parity the controller keeps: TVARAK,
+ *  its Fig 9 ablation points and the Reed-Solomon geometries. */
+inline std::vector<const Design *>
+controllerDesigns()
+{
+    std::vector<const Design *> out;
+    for (const Design *d : allRegisteredDesigns())
+        if (d->coverage().controllerKeepsParity())
+            out.push_back(d);
+    return out;
+}
+
+/** A design's cliName as a gtest parameter name ("tvarak-rs4+2" ->
+ *  "tvarak_rs4_2"). */
+inline std::string
+paramName(const Design *design)
+{
+    std::string n = design->cliName();
+    for (char &c : n)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return n;
 }
 
 }  // namespace tvarak::test

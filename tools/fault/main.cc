@@ -47,7 +47,7 @@
  * rebuilding, and judges the outcome against a never-failed twin:
  * the same engine run with an empty schedule. With two distinct
  * DIMMs (--fail-dimms i,j) two devices are dead at once, so only a
- * design with survivableFailures() >= 2 (the RS n+2 geometries)
+ * design whose coverage survives 2 failures (the RS n+2 geometries)
  * passes with zero data loss and a bit-exact rebuilt image; a
  * single-parity design is the pinned *negative control*, whose loss
  * must be detected (poison + detection counters), never silent. With
@@ -184,16 +184,14 @@ parseCommand(const std::vector<std::string> &raw,
 }
 
 /** multi and replay keep writing while DIMMs are down: exit 2 unless
- *  the design maintains mapped-data parity AND absorbs writes while
- *  degraded (the Tvarak family). */
+ *  the controller keeps the design's parity (the Tvarak family). */
 void
 requireOnlineRebuild(const Design &design, const char *mode)
 {
-    if (!design.absorbsWritesWhileDegraded() ||
-        !design.maintainsMappedParity()) {
-        die("%s needs a design that maintains mapped-data parity AND "
-            "absorbs writes while degraded (the Tvarak family; TxB and "
-            "Vilamb recompute over the stripe)", mode);
+    if (!design.coverage().controllerKeepsParity()) {
+        die("%s needs a design whose controller keeps its parity, so "
+            "it can rebuild a DIMM while writes continue (the Tvarak "
+            "family; TxB and Vilamb recompute over the stripe)", mode);
     }
 }
 
@@ -441,7 +439,7 @@ class DimmLifecycle
         mem_.flushAll();
         AtRest r;
         r.dimmLost = failed_.has_value();
-        switch (mem_.designObj().faultDetection()) {
+        switch (mem_.coverage().detection()) {
           case FaultDetection::FillVerify:
           case FaultDetection::PageScrub:
             r.bad = fs_.scrub(false);
@@ -763,7 +761,7 @@ Campaign::appDetectRepair(EventRecord &ev,
     // re-reading a page whose media the bug already corrupted would
     // launder the corruption into a fresh checksum).
     m_.mem.flushAll();
-    switch (design_.faultDetection()) {
+    switch (design_.coverage().detection()) {
       case FaultDetection::FillVerify: {
         // Fill-time verification: reading the victims detects and
         // transparently recovers; a repairing scrub then mops up the
@@ -934,7 +932,7 @@ Campaign::lineBugEvent(std::size_t op, FaultKind kind)
         unsigned bit = static_cast<unsigned>(
             below(rng_, kLineBytes * CHAR_BIT));
         m_.mem.flushAll();
-        if (design_.faultDetection() == FaultDetection::None) {
+        if (design_.coverage().detection() == FaultDetection::None) {
             // The one fault class the baseline *does* catch: device
             // ECC. Recovery still needs a good copy — of the whole
             // line: the flip can land in a neighbouring object's
@@ -1010,7 +1008,7 @@ Campaign::dimmLoss(const Event &ev)
     // unless it is one of them (a re-fail of a rebuilding DIMM).
     bool healthy = nvm.dimmState(dimm) == NvmArray::DimmState::Healthy;
     if (nvm.degradedCount() + (healthy ? 1 : 0) >
-        design_.survivableFailures()) {
+        design_.coverage().survivableFailures) {
         overBudget(dimm);
         return;
     }
@@ -1073,7 +1071,7 @@ Campaign::run(std::size_t ops)
         // quiesced, consistent image — so their degraded window is
         // read-only. TVARAK's diff-based at-rest updates keep
         // absorbing writes throughout.
-        if (!degraded() || design_.absorbsWritesWhileDegraded()) {
+        if (!degraded() || design_.coverage().writesWhileDegraded()) {
             updateKey(below(rng_, keys_));
         } else {
             rng_.next();  // keep the draw stream aligned
@@ -1108,17 +1106,18 @@ Schedule
 mapSchedule(Rng &rng, const Design &design, std::size_t ops,
             std::size_t events)
 {
-    // Which faults a design participates in, from its registry
-    // policy bits. Misdirected reads are transient (they never land
-    // at rest), so only fill-time verification can see them;
-    // quiesce-time sweeps cannot. DIMM loss needs maintained parity,
-    // which Baseline lacks for DAX-mapped data.
+    // Which faults a design participates in, from its coverage.
+    // Misdirected reads are transient (they never land at rest), so
+    // only fill-time verification can see them; quiesce-time sweeps
+    // cannot. DIMM loss needs maintained parity, which Baseline lacks
+    // for DAX-mapped data.
+    const Coverage &cov = design.coverage();
     std::vector<FaultKind> pool = {FaultKind::LostWrite,
                                    FaultKind::MisdirectedWrite};
-    if (design.detectsTransientReads())
+    if (cov.checksOnRead())
         pool.push_back(FaultKind::MisdirectedRead);
     pool.push_back(FaultKind::BitFlip);
-    if (design.maintainsMappedParity())
+    if (cov.hasMappedParity())
         pool.push_back(FaultKind::DimmLoss);
 
     // Online rebuild budget per operation: fast enough that the
@@ -1172,7 +1171,7 @@ cmdMap(const std::vector<std::string> &raw)
         pass = pass && o.stats.degradedReads > 0 &&
             o.stats.rebuildLines > 0;
     }
-    if (design.faultDetection() == FaultDetection::None) {
+    if (design.coverage().detection() == FaultDetection::None) {
         // The aggregate Baseline pin: across the whole campaign the
         // design never once claimed a detection, and at least one
         // injected fault was observed as a silent wrong read.
@@ -1306,7 +1305,8 @@ cmdMulti(const std::vector<std::string> &raw)
            static_cast<unsigned long long>(c.seed), ops, failDimms[0],
            failDimms[refail ? 0 : 1], refail ? " again" : "");
     Schedule sched = multiSchedule(ops, failDimms, refail);
-    bool survivable = (refail ? 1u : 2u) <= design.survivableFailures();
+    std::size_t budget = design.coverage().survivableFailures;
+    bool survivable = (refail ? 1u : 2u) <= budget;
     Outcome o = Campaign(design, c.seed, keys, sched, Rng(c.seed)).run(ops);
     // Past the budget the campaign stops at the second loss, so there
     // is no rebuilt image to compare.
@@ -1353,8 +1353,7 @@ cmdMulti(const std::vector<std::string> &raw)
                                           f2.op + f2.replaceAfter));
             json.close('}');
             json.field("survivable_failures",
-                       static_cast<std::uint64_t>(
-                           design.survivableFailures()));
+                       static_cast<std::uint64_t>(budget));
             json.field("survivable", survivable);
             json.field("fail2_mid_rebuild", o.failMidRebuild);
             json.openField("reads", '{');

@@ -28,7 +28,7 @@
  *   R8  DesignKind enumerator dispatch (`DesignKind::...` switches and
  *       comparisons) in src/ is confined to src/redundancy/registry.* —
  *       everything else resolves behaviour through the Design registry
- *       (designOf / findDesign) and the Design policy hooks.
+ *       (designOf / findDesign) and the Design's coverage and hooks.
  *   R14 SIMD intrinsics — <immintrin.h>-family includes, _mm_* /
  *       _mm256_* / _mm512_* calls and the __m128/__m256/__m512 vector
  *       types — are confined to src/kernels/: the data-plane kernel
