@@ -18,8 +18,8 @@
  * generalizes that to a staggered multi-DIMM schedule where each
  * later DIMM fails while the previous one is still rebuilding, so the
  * erasure-coded designs' two-failure operation shows up at the knee
- * and the tail. Designs that cannot rebuild online (their controller
- * does not keep their parity) or cannot survive the schedule's
+ * and the tail. Designs that cannot rebuild online (no controller
+ * keeps their parity) or cannot survive the schedule's
  * failure count are skipped in either mode; fault-DIMM indices are
  * validated against every selected design's (post-adjustConfig) DIMM
  * count before anything runs.
@@ -276,9 +276,9 @@ main(int argc, char **argv)
             const Coverage &cov = d->coverage();
             if (!cov.controllerKeepsParity()) {
                 std::fprintf(stderr,
-                             "  skipping %s under %s (its controller "
-                             "does not keep its parity, so it cannot "
-                             "rebuild a DIMM while writes continue)\n",
+                             "  skipping %s under %s (no controller "
+                             "keeps its parity, so it cannot rebuild "
+                             "a DIMM while writes continue)\n",
                              d->cliName().c_str(), flag);
             } else if (cov.survivableFailures < need) {
                 std::fprintf(stderr,

@@ -327,24 +327,22 @@ TvarakEngine::verifyFill(std::size_t bank, Addr nvmAddr,
     }
     stats_.readVerifications++;
 
-    bool intact;
     if (daxClChecksums_) {
         Addr csum_line = layout_.daxClCsumLine(nvmAddr);
         std::uint8_t buf[kLineBytes];
         redLineAccess(bank, csum_line, false, buf, false);
         std::size_t idx = static_cast<std::size_t>(
             layout_.daxClCsumAddr(nvmAddr) - csum_line);
-        intact = lineChecksum(lineData) == load64(buf + idx);
-    } else {
-        intact = naivePageChecksumVerify(bank, nvmAddr, lineData);
+        if (lineChecksum(lineData) == load64(buf + idx))
+            return;
+    } else if (naivePageChecksumVerify(bank, nvmAddr, lineData)) {
+        return;
     }
-    if (!intact) {
-        stats_.corruptionsDetected++;
-        auto corrected = recoverLine(nvmAddr);
-        std::memcpy(lineData, corrected.data(), kLineBytes);
-        if (onRecovery)
-            onRecovery(nvmAddr);
-    }
+    stats_.corruptionsDetected++;
+    auto corrected = recoverLine(nvmAddr);
+    std::memcpy(lineData, corrected.data(), kLineBytes);
+    if (onRecovery)
+        onRecovery(nvmAddr);
 }
 
 std::uint64_t

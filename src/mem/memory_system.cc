@@ -666,7 +666,7 @@ MemorySystem::stripeIsEngineWorld(Addr line)
     std::vector<Addr> pages;
     layout_.stripeDataPages(line, pages);
     for (Addr p : pages) {
-        if (controllerKeepsLine(p))
+        if (engine_.isDaxData(p))
             return true;
     }
     return false;
