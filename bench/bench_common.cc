@@ -7,7 +7,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "trace/trace.hh"
+#include "sim/json.hh"
 
 namespace tvarak::bench {
 
@@ -35,8 +35,7 @@ usageError(const char *prog, const char *msg, const char *arg)
                  arg ? arg : "");
     std::fprintf(stderr,
                  "usage: %s [--scale N] [--jobs N] [--json]"
-                 " [--design NAME]..."
-                 " [--trace-record F | --trace-replay F]%s\n",
+                 " [--design NAME]...%s\n",
                  prog, gExtraUsage.c_str());
     std::exit(2);
 }
@@ -174,12 +173,6 @@ parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
             args.jobs = parseCount(argv[0], "--jobs", argv[++i]);
         } else if (std::strcmp(argv[i], "--json") == 0) {
             args.json = true;
-        } else if (matchesFlag(argv[i], "--trace-record")) {
-            args.traceRecord =
-                flagValue(argv[0], "--trace-record", argc, argv, i);
-        } else if (matchesFlag(argv[i], "--trace-replay")) {
-            args.traceReplay =
-                flagValue(argv[0], "--trace-replay", argc, argv, i);
         } else if (matchesFlag(argv[i], "--design")) {
             std::string name =
                 flagValue(argv[0], "--design", argc, argv, i);
@@ -208,19 +201,14 @@ parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
             args.designs.push_back(d);
         } else if (std::strcmp(argv[i], "--help") == 0) {
             std::printf("%s\nusage: %s [--scale N] [--jobs N] [--json]"
-                        " [--design NAME]..."
-                        " [--trace-record F | --trace-replay F]%s\n"
+                        " [--design NAME]...%s\n"
                         "  --scale N  workload size multiplier "
                         "(default 1)\n"
                         "  --jobs N   experiment worker threads "
                         "(default: hardware concurrency)\n"
                         "  --json     write results/bench_%s.json\n"
                         "  --design NAME  sweep only the named design "
-                        "(repeatable; registered: %s)\n"
-                        "  --trace-record F  record once under Baseline "
-                        "into F, replay the other designs\n"
-                        "  --trace-replay F  replay every design from a "
-                        "previously recorded F\n",
+                        "(repeatable; registered: %s)\n",
                         what, argv[0], gExtraUsage.c_str(), benchName,
                         registeredNameList().c_str());
             for (const ExtraFlag &x : spec.extras) {
@@ -233,11 +221,6 @@ parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
         } else {
             usageError(argv[0], "unknown argument", argv[i]);
         }
-    }
-    if (!args.traceRecord.empty() && !args.traceReplay.empty()) {
-        usageError(argv[0],
-                   "--trace-record and --trace-replay are exclusive",
-                   nullptr);
     }
     if (!args.designs.empty()) {
         // Baseline is the normalization reference of every report.
@@ -253,16 +236,18 @@ parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
     return args;
 }
 
-std::vector<const Design *>
-selectedDesigns(const BenchArgs &args)
+void
+rejectDesignFlag(const BenchArgs &args)
 {
-    return args.designs.empty() ? paperDesigns() : args.designs;
+    if (!args.designs.empty())
+        benchUsageError("--design: this bench runs a fixed design set");
 }
 
 std::vector<FigureRow>
-sweepRows(const std::vector<WorkloadSpec> &specs,
-          const std::vector<const Design *> &designs, std::size_t jobs)
+sweepRows(const std::vector<WorkloadSpec> &specs, const BenchArgs &args)
 {
+    const std::vector<const Design *> designs =
+        args.designs.empty() ? paperDesigns() : args.designs;
     std::vector<ExperimentJob> batch;
     batch.reserve(specs.size() * designs.size());
     for (const WorkloadSpec &spec : specs) {
@@ -270,7 +255,7 @@ sweepRows(const std::vector<WorkloadSpec> &specs,
             batch.push_back({spec.name, spec.cfg, d, spec.make});
     }
 
-    std::vector<RunResult> results = runExperiments(batch, jobs);
+    std::vector<RunResult> results = runExperiments(batch, args.jobs);
 
     std::vector<FigureRow> rows(specs.size());
     std::size_t k = 0;
@@ -280,151 +265,6 @@ sweepRows(const std::vector<WorkloadSpec> &specs,
             rows[s].results[d->kind()] = results[k++];
     }
     return rows;
-}
-
-std::vector<FigureRow>
-sweepRows(const std::vector<WorkloadSpec> &specs,
-          const std::vector<DesignKind> &designs, std::size_t jobs)
-{
-    std::vector<const Design *> resolved;
-    for (DesignKind d : designs)
-        resolved.push_back(&designOf(d));
-    return sweepRows(specs, resolved, jobs);
-}
-
-namespace {
-
-/** One trace file per workload: the flag value as-is for single-spec
- *  benches, "<file>.<workload>" when a bench sweeps several specs. */
-std::string
-tracePath(const std::string &base,
-          const std::vector<WorkloadSpec> &specs, std::size_t s)
-{
-    return specs.size() == 1 ? base : base + "." + specs[s].name;
-}
-
-/** Replay jobs for @p designs from one trace, appended to @p batch. */
-void
-pushReplayJobs(std::vector<ExperimentJob> &batch,
-               const std::string &label,
-               const std::shared_ptr<trace::TraceData> &trace,
-               const std::vector<const Design *> &designs,
-               bool skipRecorded)
-{
-    for (const Design *d : designs) {
-        if (skipRecorded && d->kind() == trace->recordedDesign)
-            continue;
-        batch.push_back({label, trace->cfg, d,
-                         trace::makeReplayFactory(trace)});
-    }
-}
-
-/** Record each spec once under Baseline, replay the other designs. */
-std::vector<FigureRow>
-recordAndReplayRows(const std::vector<WorkloadSpec> &specs,
-                    const std::vector<const Design *> &designs,
-                    const BenchArgs &args)
-{
-    std::vector<FigureRow> rows(specs.size());
-    std::vector<ExperimentJob> batch;
-    for (std::size_t s = 0; s < specs.size(); s++) {
-        std::string path = tracePath(args.traceRecord, specs, s);
-        std::fprintf(stderr, "  recording %s -> %s\n",
-                     specs[s].name.c_str(), path.c_str());
-        trace::RecordResult rec = trace::recordExperiment(
-            specs[s].cfg, DesignKind::Baseline, specs[s].make,
-            specs[s].name);
-        if (!rec.trace->save(path)) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         path.c_str());
-            std::exit(1);
-        }
-        rows[s].workload = specs[s].name;
-        rows[s].results[DesignKind::Baseline] = rec.result;
-        pushReplayJobs(batch, specs[s].name, rec.trace, designs, true);
-    }
-
-    std::vector<RunResult> results = runExperiments(batch, args.jobs);
-    std::size_t k = 0;
-    for (std::size_t s = 0; s < specs.size(); s++) {
-        for (const Design *d : designs) {
-            if (d->kind() == DesignKind::Baseline)
-                continue;
-            rows[s].results[d->kind()] = results[k++];
-        }
-    }
-    return rows;
-}
-
-/** Replay every design from the trace files of a previous record. */
-std::vector<FigureRow>
-replayRows(const std::vector<WorkloadSpec> &specs,
-           const std::vector<const Design *> &designs,
-           const BenchArgs &args)
-{
-    std::vector<FigureRow> rows(specs.size());
-    std::vector<ExperimentJob> batch;
-    for (std::size_t s = 0; s < specs.size(); s++) {
-        std::string path = tracePath(args.traceReplay, specs, s);
-        auto trace = trace::TraceData::load(path);
-        if (trace == nullptr) {
-            std::fprintf(stderr, "error: cannot load trace %s\n",
-                         path.c_str());
-            std::exit(1);
-        }
-        if (trace->workloadName != specs[s].name) {
-            std::fprintf(stderr,
-                         "warning: %s was recorded as '%s', replaying "
-                         "as '%s'\n",
-                         path.c_str(), trace->workloadName.c_str(),
-                         specs[s].name.c_str());
-        }
-        rows[s].workload = specs[s].name;
-        pushReplayJobs(batch, specs[s].name, trace, designs, false);
-    }
-
-    std::vector<RunResult> results = runExperiments(batch, args.jobs);
-    std::size_t k = 0;
-    for (std::size_t s = 0; s < specs.size(); s++) {
-        for (const Design *d : designs)
-            rows[s].results[d->kind()] = results[k++];
-    }
-    return rows;
-}
-
-}  // namespace
-
-std::vector<FigureRow>
-sweepRows(const std::vector<WorkloadSpec> &specs, const BenchArgs &args)
-{
-    std::vector<const Design *> designs = selectedDesigns(args);
-    if (!args.traceReplay.empty())
-        return replayRows(specs, designs, args);
-    if (!args.traceRecord.empty())
-        return recordAndReplayRows(specs, designs, args);
-    return sweepRows(specs, designs, args.jobs);
-}
-
-FigureRow
-sweepDesigns(const std::string &workloadName, const SimConfig &cfg,
-             const WorkloadFactory &make,
-             const std::vector<DesignKind> &designs, std::size_t jobs)
-{
-    return sweepRows({{workloadName, cfg, make}}, designs, jobs).front();
-}
-
-FigureRow
-sweepDesigns(const std::string &workloadName, const SimConfig &cfg,
-             const WorkloadFactory &make, std::size_t jobs)
-{
-    return sweepDesigns(workloadName, cfg, make, allDesigns(), jobs);
-}
-
-FigureRow
-sweepDesigns(const std::string &workloadName, const SimConfig &cfg,
-             const WorkloadFactory &make, const BenchArgs &args)
-{
-    return sweepRows({{workloadName, cfg, make}}, args).front();
 }
 
 std::vector<BenchJsonEntry>
@@ -447,24 +287,6 @@ jsonEntries(const std::vector<FigureRow> &rows)
     }
     return entries;
 }
-
-namespace {
-
-/** Minimal JSON string escape: the labels only contain printable
- *  ASCII, but quote/backslash must never corrupt the file. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-}  // namespace
 
 void
 writeBenchJson(const BenchArgs &args,
@@ -500,10 +322,8 @@ writeBenchJson(const BenchArgs &args,
             << ", \"energy_mj\": " << e.energyMj
             << ", \"nvm_data_accesses\": " << e.nvmDataAccesses
             << ", \"nvm_red_accesses\": " << e.nvmRedAccesses
-            << ", \"cache_accesses\": " << e.cacheAccesses;
-        if (e.wallSeconds > 0)
-            out << ", \"wall_seconds\": " << e.wallSeconds;
-        out << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
+            << ", \"cache_accesses\": " << e.cacheAccesses << "}"
+            << (i + 1 < entries.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::fprintf(stderr, "  wrote %s\n", path.c_str());

@@ -14,23 +14,17 @@
  *               every N; only wall-clock changes.
  *   --json      also write results/bench_<name>.json with the
  *               per-design numbers and the wall time of the sweep.
+ *   --design NAME
+ *               sweep only the named registered design (repeatable;
+ *               e.g. --design vilamb). Baseline is added
+ *               automatically as the normalization reference.
+ *               Default: the four paper designs. Benches with a
+ *               fixed design set reject it (rejectDesignFlag()).
  *
- *   --trace-record F   record each workload once under Baseline into
- *                      trace file F (multi-workload benches append
- *                      ".<workload>"), then produce the remaining
- *                      design columns by replaying the trace — the
- *                      record-once / replay-per-design methodology.
- *   --trace-replay F   skip direct execution entirely: load the trace
- *                      file(s) written by a previous --trace-record
- *                      run and replay every design from them.
- *
- *   --design NAME      sweep only the named registered design
- *                      (repeatable; e.g. --design vilamb). Baseline is
- *                      added automatically as the normalization
- *                      reference. Default: the four paper designs.
- *
- * There is no kernel-backend flag: src/kernels/ picks AVX2 or scalar
- * once by CPUID, and simulated results do not depend on the choice.
+ * Every design runs directly; recording a trace once and replaying
+ * it per design is tvarak-trace's job. There is no kernel-backend
+ * flag: src/kernels/ picks AVX2 or scalar once by CPUID, and
+ * simulated results do not depend on the choice.
  *
  * Unknown flags and malformed values are usage errors (exit 2) — a
  * typo must never silently run the wrong experiment.
@@ -60,10 +54,6 @@ struct BenchArgs {
     /** Worker threads; 0 = defaultJobs() (hardware concurrency). */
     std::size_t jobs = 0;
     bool json = false;
-    /** --trace-record target; empty = run every design directly. */
-    std::string traceRecord;
-    /** --trace-replay source; empty = run or record, per above. */
-    std::string traceReplay;
     /** Designs selected via repeatable --design flags (Baseline is
      *  auto-prepended); empty = the four paper designs. */
     std::vector<const Design *> designs;
@@ -125,6 +115,10 @@ double parseFracValue(const char *flag, const std::string &value);
 [[noreturn]] void benchUsageError(const std::string &msg);
 /**@}*/
 
+/** For benches that run a fixed design set: exit(2) if --design was
+ *  given, rather than silently run designs the user did not ask for. */
+void rejectDesignFlag(const BenchArgs &args);
+
 /** One workload of a figure: a label, the machine it runs on, and its
  *  factory. sweepRows() fans specs x designs in a single batch. */
 struct WorkloadSpec {
@@ -133,46 +127,11 @@ struct WorkloadSpec {
     WorkloadFactory make;
 };
 
-/** @p args.designs if --design was given, else the four paper
- *  designs — the design set every sweep helper runs. */
-std::vector<const Design *> selectedDesigns(const BenchArgs &args);
-
-/** Run every spec under every design in one parallel batch; one
- *  FigureRow per spec, in spec order. */
-std::vector<FigureRow> sweepRows(const std::vector<WorkloadSpec> &specs,
-                                 const std::vector<const Design *> &designs,
-                                 std::size_t jobs);
-
-/** Shim: the canonical designs for @p designs. */
-std::vector<FigureRow> sweepRows(const std::vector<WorkloadSpec> &specs,
-                                 const std::vector<DesignKind> &designs,
-                                 std::size_t jobs);
-
-/**
- * As above, over selectedDesigns(args) and honoring
- * @p args.traceRecord / @p args.traceReplay: record each spec once
- * under Baseline and replay the other designs, or replay every design
- * from previously recorded trace files. With neither flag set this is
- * plain sweepRows(specs, selectedDesigns(args), args.jobs).
- */
+/** Run every spec under @p args.designs (the four paper designs if
+ *  --design was not given) in one parallel batch of args.jobs
+ *  workers; one FigureRow per spec, in spec order. */
 std::vector<FigureRow> sweepRows(const std::vector<WorkloadSpec> &specs,
                                  const BenchArgs &args);
-
-/** Run @p make under the four paper designs; collect a figure row. */
-FigureRow sweepDesigns(const std::string &workloadName,
-                       const SimConfig &cfg, const WorkloadFactory &make,
-                       std::size_t jobs);
-
-/** selectedDesigns(args), honoring the trace record/replay flags. */
-FigureRow sweepDesigns(const std::string &workloadName,
-                       const SimConfig &cfg, const WorkloadFactory &make,
-                       const BenchArgs &args);
-
-/** Run @p make under a subset of designs. */
-FigureRow sweepDesigns(const std::string &workloadName,
-                       const SimConfig &cfg, const WorkloadFactory &make,
-                       const std::vector<DesignKind> &designs,
-                       std::size_t jobs);
 
 /** One record of the machine-readable result dump. */
 struct BenchJsonEntry {
@@ -184,9 +143,6 @@ struct BenchJsonEntry {
     std::uint64_t nvmDataAccesses = 0;
     std::uint64_t nvmRedAccesses = 0;
     std::uint64_t cacheAccesses = 0;
-    /** Per-experiment wall time; emitted only when > 0 (set by
-     *  bench_selfperf, which times each experiment individually). */
-    double wallSeconds = 0;
 };
 
 /** Flatten figure rows into JSON entries (norm against Baseline). */

@@ -54,6 +54,7 @@ main(int argc, char **argv)
     BenchArgs args = parseBenchArgs(
         argc, argv, "Fig 10: LLC partition sensitivity sweeps",
         "fig10_sensitivity");
+    rejectDesignFlag(args);
     const std::vector<std::size_t> ways = {1, 2, 4, 6, 8};
 
     // Per workload: one baseline, then the redundancy-way sweep and

@@ -28,6 +28,7 @@ main(int argc, char **argv)
     BenchArgs args = parseBenchArgs(
         argc, argv, "Fig 9: TVARAK design-choice ablation",
         "fig9_ablation");
+    rejectDesignFlag(args);
 
     // The cumulative ablation points are registered design variants
     // (each one's coverage sets its rungs); the classic Fig-9 column

@@ -228,7 +228,7 @@ main(int argc, char **argv)
     registerBackendRows();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
+        return 2;  // a usage error, as in every other bench
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -46,8 +46,8 @@ main(int argc, char **argv)
     BenchArgs args = parseBenchArgs(
         argc, argv, "Table I: design-space trade-offs", "table1");
     SimConfig cfg = evalConfig();
-    FigureRow row = sweepDesigns("ctree-insert-only", cfg,
-                                 smallInsertFactory(), args);
+    FigureRow row = sweepRows(
+        {{"ctree-insert-only", cfg, smallInsertFactory()}}, args).front();
 
     std::printf(
         "\n== Table I: trade-offs among DAX NVM redundancy designs ==\n"

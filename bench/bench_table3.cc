@@ -16,8 +16,8 @@ using namespace tvarak::bench;
 int
 main(int argc, char **argv)
 {
-    parseBenchArgs(argc, argv, "Table III: simulation parameters",
-                   "table3");
+    rejectDesignFlag(parseBenchArgs(
+        argc, argv, "Table III: simulation parameters", "table3"));
     SimConfig cfg;  // unscaled Table III machine
 
     std::printf("== Table III: simulation parameters ==\n");

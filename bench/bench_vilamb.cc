@@ -79,6 +79,7 @@ main(int argc, char **argv)
     BenchArgs args = parseBenchArgs(
         argc, argv, "Table I extension: Vilamb epoch sweep vs TVARAK",
         "vilamb");
+    rejectDesignFlag(args);
     SimConfig cfg = evalConfig();
     const std::vector<std::size_t> epochs = {1, 16, 64, 256};
 

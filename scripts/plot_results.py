@@ -3,8 +3,9 @@
 bar charts (one chart per figure), mirroring the paper's normalized
 bar plots.
 
-Usage:
-    for b in build/bench/*; do $b; done | tee bench_output.txt
+Usage, after regenerating results/bench_*.txt with the bench_* loop
+in EXPERIMENTS.md:
+    cat results/bench_*.txt > bench_output.txt
     scripts/plot_results.py bench_output.txt
 """
 

@@ -910,14 +910,6 @@ makeReplayFactory(std::shared_ptr<const TraceData> trace)
  */
 
 RecordResult
-recordExperiment(const SimConfig &cfg, DesignKind design,
-                 const WorkloadFactory &make,
-                 const std::string &workloadName)
-{
-    return recordExperiment(cfg, designOf(design), make, workloadName);
-}
-
-RecordResult
 recordExperiment(const SimConfig &cfg, const Design &design,
                  const WorkloadFactory &make,
                  const std::string &workloadName)
@@ -940,13 +932,6 @@ recordExperiment(const SimConfig &cfg, const Design &design,
     out.result = runExperiment(cfg, design, make, hooks);
     out.trace = writer->finish();
     return out;
-}
-
-RunResult
-replayExperiment(std::shared_ptr<const TraceData> trace,
-                 DesignKind design)
-{
-    return replayExperiment(std::move(trace), designOf(design));
 }
 
 RunResult

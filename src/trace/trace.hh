@@ -180,20 +180,13 @@ struct RecordResult {
     std::shared_ptr<TraceData> trace;
 };
 
-/** Run @p make under @p design with a recorder attached. */
-RecordResult recordExperiment(const SimConfig &cfg, DesignKind design,
+/** Run @p make under @p design with a recorder attached. The trace
+ *  header stores only the design's DesignKind. */
+RecordResult recordExperiment(const SimConfig &cfg, const Design &design,
                               const WorkloadFactory &make,
                               const std::string &workloadName);
 
 /** Replay @p trace under @p design (on the trace's own config). */
-RunResult replayExperiment(std::shared_ptr<const TraceData> trace,
-                           DesignKind design);
-
-/** As above, for any registered Design (variants included). The
- *  trace header still stores only the design's DesignKind. */
-RecordResult recordExperiment(const SimConfig &cfg, const Design &design,
-                              const WorkloadFactory &make,
-                              const std::string &workloadName);
 RunResult replayExperiment(std::shared_ptr<const TraceData> trace,
                            const Design &design);
 

@@ -87,7 +87,7 @@ expectReplayEquivalence(const WorkloadFactory &make, const char *label)
 {
     SimConfig cfg = test::smallConfig();
     trace::RecordResult rec = trace::recordExperiment(
-        cfg, DesignKind::Baseline, make, label);
+        cfg, designOf(DesignKind::Baseline), make, label);
     ASSERT_NE(rec.trace, nullptr);
     EXPECT_GT(rec.trace->eventCount, 0u);
 
@@ -99,7 +99,8 @@ expectReplayEquivalence(const WorkloadFactory &make, const char *label)
 
     for (DesignKind d : allDesigns()) {
         RunResult direct = runExperiment(cfg, d, make);
-        RunResult replayed = trace::replayExperiment(rec.trace, d);
+        RunResult replayed =
+            trace::replayExperiment(rec.trace, designOf(d));
         EXPECT_EQ(statsDiff(direct.stats, replayed.stats), "")
             << label << " under " << designName(d);
         EXPECT_EQ(direct.runtimeCycles, replayed.runtimeCycles);
@@ -214,7 +215,8 @@ TEST(Trace, SaveLoadRoundTrip)
     const char *path = "test_trace_roundtrip.trace";
     SimConfig cfg = test::smallConfig();
     trace::RecordResult rec = trace::recordExperiment(
-        cfg, DesignKind::Baseline, streamFactory(), "stream-triad");
+        cfg, designOf(DesignKind::Baseline), streamFactory(),
+        "stream-triad");
     ASSERT_NE(rec.trace, nullptr);
     ASSERT_TRUE(rec.trace->save(path));
 
@@ -229,8 +231,9 @@ TEST(Trace, SaveLoadRoundTrip)
     EXPECT_EQ(loaded->records, rec.trace->records);
 
     // A loaded trace replays like the in-memory one.
-    RunResult a = trace::replayExperiment(rec.trace, DesignKind::Tvarak);
-    RunResult b = trace::replayExperiment(loaded, DesignKind::Tvarak);
+    const Design &tvarak = designOf(DesignKind::Tvarak);
+    RunResult a = trace::replayExperiment(rec.trace, tvarak);
+    RunResult b = trace::replayExperiment(loaded, tvarak);
     EXPECT_EQ(statsDiff(a.stats, b.stats), "");
     std::remove(path);
 }

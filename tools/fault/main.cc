@@ -87,6 +87,7 @@
 #include "redundancy/rebuild.hh"
 #include "redundancy/registry.hh"
 #include "redundancy/scheme.hh"
+#include "sim/json.hh"
 #include "sim/log.hh"
 #include "sim/rng.hh"
 #include "trace/trace.hh"
@@ -227,11 +228,7 @@ class Json
     value(const std::string &v)
     {
         out_ += '"';
-        for (char c : v) {
-            if (c == '"' || c == '\\')
-                out_ += '\\';
-            out_ += c;
-        }
+        out_ += jsonEscape(v);
         out_ += '"';
     }
 

@@ -1,39 +1,15 @@
 #include "sarif.hh"
 
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/json.hh"
+
 namespace tvarak::lint {
 
 namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::size_t
 ruleIndexOf(const std::string &rule)

@@ -1,7 +1,8 @@
-# Usage-error contract of tvarak-trace and tvarak-fault: malformed
-# numbers, values outside a flag's range, unknown names, hostile trace
-# files and unwritable reports exit 2. Driven by ctest
-# (cli_exit_codes); needs -DTRACE=, -DFAULT= and -DSRC=.
+# Usage-error contract of tvarak-trace, tvarak-fault and the benches:
+# malformed numbers, values outside a flag's range, unknown names and
+# flags, hostile trace files and unwritable reports exit 2, before any
+# simulation starts. Driven by ctest (cli_exit_codes); needs -DTRACE=,
+# -DFAULT=, -DBENCH= (the bench binary directory) and -DSRC=.
 
 function(expect_exit code)
     execute_process(COMMAND ${ARGN}
@@ -54,3 +55,30 @@ expect_exit(2 ${FAULT} multi --seed 1 --design tvarak-rs4+2
 expect_exit(2 ${FAULT} multi --seed 1 --design tvarak-rs4+2
             --fail-dimms 0,0)
 expect_exit(2 ${FAULT} multi --seed 1 --design TxB-Page-Csums)
+
+# Benches: no trace flags, and --design only where a bench reads it.
+set(f ${CMAKE_CURRENT_BINARY_DIR}/bench.trace)
+foreach(bench bench_fig10_sensitivity bench_fig8_fio bench_fig8_kvstructs
+        bench_fig8_nstore bench_fig8_redis bench_fig8_stream
+        bench_fig9_ablation bench_kernels bench_sec4h_dimms bench_service
+        bench_table1 bench_table3 bench_vilamb)
+    expect_exit(2 ${BENCH}/${bench} --trace-record ${f})
+    expect_exit(2 ${BENCH}/${bench} --trace-replay ${f})
+endforeach()
+foreach(bench bench_fig9_ablation bench_fig10_sensitivity bench_vilamb
+        bench_table3)
+    expect_exit(2 ${BENCH}/${bench} --design vilamb)
+endforeach()
+expect_exit(2 ${BENCH}/bench_table1 --design no-such)
+expect_exit(2 ${BENCH}/bench_table1 --scale 0)
+expect_exit(2 ${BENCH}/bench_table1 --jobs abc)
+# bench_service: unknown names and fault schedules it cannot run.
+set(service ${BENCH}/bench_service)
+expect_exit(2 ${service} --design no-such)
+expect_exit(2 ${service} --workload no-such)
+expect_exit(2 ${service} --design tvarak-rs1+9)
+expect_exit(2 ${service} --design tvarak-rs4+2 --fail-dimms 0,9)
+expect_exit(2 ${service} --design tvarak-rs4+2 --fail-dimms 0,0)
+expect_exit(2 ${service} --design tvarak-rs4+2 --fail-dimms 0,x)
+expect_exit(2 ${service} --design tvarak-rs4+2 --fail-dimm
+            --fail-dimms 0,1)
