@@ -18,13 +18,13 @@ constexpr std::size_t kWalNodeBytes = kWalNext + 8;
 
 NStore::NStore(MemorySystem &mem, DaxFs &fs, RedundancyScheme *scheme,
                std::size_t tuples, std::size_t walSlots,
-               std::size_t clients)
+               std::size_t clients, const std::string &poolName)
     : mem_(mem), tuples_(tuples), clients_(clients)
 {
     panic_if(clients == 0 || clients > 8, "unreasonable client count");
     std::size_t heap = tuples * (kTupleBytes + 64) +
         walSlots * (kWalNodeBytes + 64) + (1u << 20);
-    pool_ = std::make_unique<PmemPool>(mem, fs, "nstore", heap, scheme,
+    pool_ = std::make_unique<PmemPool>(mem, fs, poolName, heap, scheme,
                                        clients);
     pool_->setSchemeEnabled(false);  // unmeasured load phase
 

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "harness/workload.hh"
@@ -37,9 +38,11 @@ class NStore
     /** Tuple: u64 id + 10 fields. */
     static constexpr std::size_t kTupleBytes = 8 + kFields * kFieldBytes;
 
+    /** Table and WAL live in the pool file @p poolName; stores that
+     *  share one file system need distinct names. */
     NStore(MemorySystem &mem, DaxFs &fs, RedundancyScheme *scheme,
            std::size_t tuples, std::size_t walSlots,
-           std::size_t clients);
+           std::size_t clients, const std::string &poolName = "nstore");
 
     /** YCSB update: one field rewritten, WAL node first. */
     void updateTx(int tid, std::uint64_t tupleId, std::size_t field,

@@ -36,6 +36,7 @@ MemorySystem::MemorySystem(const SimConfig &cfg, const Design &design)
       engine_(cfg_, design.coverage(), layout_, nvm_, stats_),
       dram_(cfg_.dram.sizeBytes),
       nvmCur_(cfg_.nvm.dimms * cfg_.nvm.dimmBytes),
+      curChanged_(nvmCur_.size()),
       dramBrk_(kLineBytes)  // never hand out address 0
 {
     cfg_.validate();
@@ -148,6 +149,13 @@ const std::uint8_t *
 MemorySystem::funcPtr(Addr paddr, bool isNvm) const
 {
     return const_cast<MemorySystem *>(this)->funcPtr(paddr, isNvm);
+}
+
+void
+MemorySystem::setCurrentLine(Addr g, const std::uint8_t *line)
+{
+    std::memcpy(nvmCur_.data() + g, line, kLineBytes);
+    curChanged_.mark(g);
 }
 
 Addr
@@ -417,7 +425,7 @@ MemorySystem::llcEnsure(int core, Addr paddr, bool isNvm, bool isWrite,
                 ctrl_->fillLine(bank, g, media);
             }
             // The fill's view becomes the architectural value.
-            std::memcpy(funcPtr(paddr, true), media, kLineBytes);
+            setCurrentLine(g, media);
         } else {
             stats_.dramReads++;
             stats_.dramEnergy += cfg_.dram.accessEnergy;
@@ -508,7 +516,7 @@ MemorySystem::prefetchLine(Addr paddr, bool isNvm)
             nvm_.access(g, false, media, isRedundancyAddr(g));
             ctrl_->fillLine(bank, g, media);
         }
-        std::memcpy(funcPtr(paddr, true), media, kLineBytes);
+        setCurrentLine(g, media);
     } else {
         stats_.dramReads++;
         stats_.dramEnergy += cfg_.dram.accessEnergy;
@@ -620,12 +628,13 @@ MemorySystem::failDimm(std::size_t dimm)
     // one without going through a (reconstructing) fill is loudly
     // wrong, never silently stale. LLC inclusion makes the LLC probe
     // cover the private levels too.
+    std::uint8_t poison[kLineBytes];
+    std::memset(poison, NvmDimm::kPoisonByte, kLineBytes);
     for (Addr m = 0; m < cfg_.nvm.dimmBytes; m += kLineBytes) {
-        Addr paddr = kNvmPhysBase + nvm_.globalAddrOf(dimm, m);
-        if (llc_[bankOf(paddr)].probe(paddr) == nullptr) {
-            std::memset(funcPtr(paddr, true), NvmDimm::kPoisonByte,
-                        kLineBytes);
-        }
+        Addr g = nvm_.globalAddrOf(dimm, m);
+        Addr paddr = kNvmPhysBase + g;
+        if (llc_[bankOf(paddr)].probe(paddr) == nullptr)
+            setCurrentLine(g, poison);
     }
 }
 
@@ -843,7 +852,7 @@ MemorySystem::refreshCurIfUncached(Addr nvmAddr, const std::uint8_t *data)
 {
     Addr paddr = kNvmPhysBase + lineBase(nvmAddr);
     if (llc_[bankOf(paddr)].probe(paddr) == nullptr)
-        std::memcpy(funcPtr(paddr, true), data, kLineBytes);
+        setCurrentLine(lineBase(nvmAddr), data);
 }
 
 void
@@ -869,8 +878,7 @@ MemorySystem::refreshDegradedCurrent()
         for (Addr m = start; m < cfg_.nvm.dimmBytes; m += kLineBytes) {
             Addr g = nvm_.globalAddrOf(d, m);
             reconstructLine(g, buf, false);
-            std::memcpy(funcPtr(kNvmPhysBase + g, true), buf,
-                        kLineBytes);
+            setCurrentLine(g, buf);
         }
     }
 }
@@ -906,8 +914,14 @@ MemorySystem::dropCaches()
         c.reset();
     engine_.dropCleanState();
     // Re-sync the current-value store with the media so the cold
-    // state is exactly what fills will observe.
-    nvm_.rawRead(0, nvmCur_.data(), nvmCur_.size());
+    // state is exactly what fills will observe. By curChanged_'s
+    // invariant only the pages either side marked can differ.
+    nvm_.drainChangedPages(curChanged_);
+    curChanged_.forEach([&](std::size_t page) {
+        Addr g = static_cast<Addr>(page) * kPageBytes;
+        nvm_.rawRead(g, nvmCur_.data() + g, kPageBytes);
+    });
+    curChanged_.clear();
     // A degraded DIMM's media reads as poison; re-derive whatever is
     // recoverable so cold fills observe the reconstructed values.
     if (nvm_.anyDegraded())
@@ -922,6 +936,7 @@ MemorySystem::refreshFromMedia(Addr vaddr, std::size_t len)
         panic_if(!t.isNvm, "refreshFromMedia on a DRAM address");
         std::size_t chunk =
             std::min(len, kPageBytes - pageOffset(vaddr));
+        // Current value := media, so the page needs no mark.
         nvm_.rawRead(nvmGlobal(t.paddr), funcPtr(t.paddr, true), chunk);
         vaddr += chunk;
         len -= chunk;

@@ -46,6 +46,7 @@
 #include "redundancy/registry.hh"
 #include "sim/config.hh"
 #include "sim/hostmem.hh"
+#include "sim/page_bitmap.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -154,7 +155,10 @@ class MemorySystem
 
     /** flushAll() followed by dropping every (now clean) cached line
      *  everywhere — models a cold restart. Subsequent reads re-fill
-     *  from the NVM media through the firmware. */
+     *  from the NVM media through the firmware. The current-value
+     *  store is re-synced with the media page by page, copying only
+     *  the pages that either side changed since the last re-sync
+     *  (see curChanged_). */
     void dropCaches();
 
     /**
@@ -227,6 +231,9 @@ class MemorySystem
     /** Pointer into the current-value store for @p paddr. */
     std::uint8_t *funcPtr(Addr paddr, bool isNvm);
     const std::uint8_t *funcPtr(Addr paddr, bool isNvm) const;
+    /** Install @p line as NVM line @p g's current value and mark its
+     *  page for the next re-sync (see curChanged_). */
+    void setCurrentLine(Addr g, const std::uint8_t *line);
 
     /** One line-granular timed access. */
     void accessLine(int tid, Addr vaddr, std::size_t offset,
@@ -307,6 +314,21 @@ class MemorySystem
 
     HostBuffer dram_;    //!< DRAM current values (huge-page backed)
     HostBuffer nvmCur_;  //!< NVM current values (huge-page backed)
+    /**
+     * Pages of nvmCur_ written outside the re-sync since the last
+     * dropCaches(). Every such write goes through setCurrentLine():
+     * NVM fills (demand and prefetch), failDimm()'s poison,
+     * refreshCurIfUncached() and refreshDegradedCurrent(). Timed
+     * stores need no mark: dropCaches() empties every cache, so a
+     * store's line was filled, and its page marked, after the last
+     * re-sync. refreshFromMedia() copies media in, so needs none.
+     *
+     * Invariant: a page that neither this set nor any DIMM's
+     * changedPages() marks holds equal current value and media. It
+     * holds at construction (both all zero), and dropCaches()
+     * restores it by copying exactly the union of the marked pages.
+     */
+    PageBitmap curChanged_;
     std::vector<Addr> daxPageTable_;    //!< vpage -> NVM page | kUnmapped
     std::unique_ptr<RsCode> rsCodec_;   //!< lazily built geometry codec
     Addr dramBrk_;

@@ -12,7 +12,7 @@
 namespace tvarak {
 
 NvmDimm::NvmDimm(std::size_t bytes)
-    : media_(bytes), ecc_(bytes / kLineBytes, 0)
+    : media_(bytes), ecc_(bytes / kLineBytes, 0), changed_(bytes)
 {
     panic_if(bytes % kPageBytes != 0, "DIMM size must be page aligned");
     // ECC of the all-zero initial media: computed once, replicated.
@@ -80,6 +80,7 @@ NvmDimm::firmwareWrite(Addr mediaAddr, const void *buf)
         checkAddr(dst, kLineBytes);
     }
     kernels::ops().copyLine(media_.data() + dst, buf);
+    changed_.mark(dst);
     // The firmware updates the inline ECC atomically with the data; a
     // misdirected write thus leaves a *consistent* wrong line.
     ecc_[dst / kLineBytes] = computeEcc(dst);
@@ -99,6 +100,7 @@ NvmDimm::rawWrite(Addr mediaAddr, const void *buf, std::size_t len)
     if (failed_)
         return;  // writes to a dead device vanish
     std::memcpy(media_.data() + mediaAddr, buf, len);
+    changed_.markRange(mediaAddr, len);
     for (Addr a = lineBase(mediaAddr); a < mediaAddr + len;
          a += kLineBytes) {
         ecc_[a / kLineBytes] = computeEcc(a);
@@ -138,6 +140,7 @@ NvmDimm::injectBitFlip(Addr mediaAddr, unsigned bit)
 {
     checkAddr(mediaAddr, 1);
     media_[mediaAddr] ^= static_cast<std::uint8_t>(1u << (bit % CHAR_BIT));
+    changed_.mark(mediaAddr);
     // Deliberately no ECC update: this is a media error, which the
     // device ECC exists to catch.
 }
@@ -158,6 +161,7 @@ NvmDimm::fail()
     // (which the system checksums then flag) rather than plausible
     // zeroes.
     std::fill(media_.begin(), media_.end(), kPoisonByte);
+    changed_.markRange(0, media_.size());
     std::fill(ecc_.begin(), ecc_.end(), std::uint8_t{0});
     clearInjectedBugs();
 }
@@ -168,6 +172,7 @@ NvmDimm::replace()
     panic_if(!failed_, "replacing a healthy DIMM");
     failed_ = false;
     std::fill(media_.begin(), media_.end(), std::uint8_t{0});
+    changed_.markRange(0, media_.size());
     std::uint8_t zero_ecc = computeEcc(0);
     std::fill(ecc_.begin(), ecc_.end(), zero_ecc);
 }
@@ -359,6 +364,17 @@ NvmArray::rawRead(Addr globalAddr, void *buf, std::size_t len) const
         globalAddr += chunk;
         out += chunk;
         len -= chunk;
+    }
+}
+
+void
+NvmArray::drainChangedPages(PageBitmap &globalPages)
+{
+    for (std::size_t d = 0; d < dimms_.size(); d++) {
+        dimms_[d]->changedPages().forEach([&](std::size_t mediaPage) {
+            globalPages.mark(globalAddrOf(d, mediaPage * kPageBytes));
+        });
+        dimms_[d]->clearChangedPages();
     }
 }
 

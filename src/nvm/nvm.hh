@@ -33,6 +33,7 @@
 
 #include "sim/config.hh"
 #include "sim/hostmem.hh"
+#include "sim/page_bitmap.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -123,6 +124,18 @@ class NvmDimm
     /** Number of firmware bugs that have fired so far. */
     std::uint64_t bugsTriggered() const { return bugsTriggered_; }
 
+    /** @name Changed media pages
+     *  Every path that changes media bytes marks their page: firmware
+     *  writes (at the line the data lands on, so a misdirected write
+     *  marks its target and a lost write marks nothing), raw writes,
+     *  bit flips, and fail()/replace() (the whole device). The memory
+     *  system drains the set at each cold restart (NvmArray::
+     *  drainChangedPages). */
+    /**@{*/
+    const PageBitmap &changedPages() const { return changed_; }
+    void clearChangedPages() { changed_.clear(); }
+    /**@}*/
+
   private:
     enum class BugKind { LostWrite, MisdirectedWrite, MisdirectedRead };
     struct Bug {
@@ -135,6 +148,7 @@ class NvmDimm
 
     HostBuffer media_;  //!< huge-page backed: hot random line reads
     std::vector<std::uint8_t> ecc_;  //!< one byte per line, inline model
+    PageBitmap changed_;  //!< media pages changed since last drained
     std::unordered_map<Addr, Bug> writeBugs_;
     std::unordered_map<Addr, Bug> readBugs_;
     std::uint64_t bugsTriggered_ = 0;
@@ -239,6 +253,11 @@ class NvmArray
     const NvmDimm &dimm(std::size_t i) const { return *dimms_[i]; }
     std::size_t numDimms() const { return dimms_.size(); }
     std::size_t totalBytes() const { return params_.dimmBytes * dimms_.size(); }
+
+    /** Mark in @p globalPages (over the global address space) every
+     *  page some DIMM changed since the last drain, then clear the
+     *  DIMMs' sets. */
+    void drainChangedPages(PageBitmap &globalPages);
 
     /** Raw (bug-free, untimed) helpers addressed globally. */
     void rawRead(Addr globalAddr, void *buf, std::size_t len) const;

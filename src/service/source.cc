@@ -142,8 +142,9 @@ class NStoreBalancedSource final : public RequestSource
 
     void setup() override
     {
-        store_ = std::make_unique<NStore>(mem_, fs_, scheme_, tuples_,
-                                          kWalSlots, 1);
+        store_ = std::make_unique<NStore>(
+            mem_, fs_, scheme_, tuples_, kWalSlots, 1,
+            "svc-nstore" + std::to_string(tid_));
     }
 
     void serve(std::uint64_t reqId) override

@@ -53,6 +53,7 @@ TEST(Checkpoint, PowerCyclePreservesFlushedData)
         // DAX file system after reboot).
         MemorySystem mem(test::smallConfig(), DesignKind::Tvarak);
         ASSERT_TRUE(mem.loadNvmImage(img.path));
+        EXPECT_TRUE(test::currentMatchesMedia(mem));
         DaxFs fs(mem);
         int fd = fs.open("data");
         ASSERT_GE(fd, 0) << "namespace persisted in the superblock";
@@ -78,6 +79,7 @@ TEST(Checkpoint, UnflushedDataDoesNotSurvive)
 
     MemorySystem mem2(test::smallConfig(), DesignKind::Baseline);
     ASSERT_TRUE(mem2.loadNvmImage(img.path));
+    EXPECT_TRUE(test::currentMatchesMedia(mem2));
     DaxFs fs2(mem2);
     int fd2 = fs2.open("data");
     ASSERT_GE(fd2, 0);

@@ -88,6 +88,7 @@ struct MapRig {
                 // Forces writebacks (dropped on the dead DIMM) and
                 // makes every later read re-fill — i.e. reconstruct.
                 mem.dropCaches();
+                ASSERT_TRUE(test::currentMatchesMedia(mem));
             }
         }
         mem.flushAll();
@@ -195,6 +196,8 @@ TEST(DimmFailure, RsSecondFailureMidRebuildBitExact)
                 << "the restart scenario needs a's rebuild in flight";
             faulty.mem.failDimm(a);  // fail-during-rebuild: restart
             faulty.mem.failDimm(b);  // second concurrent failure
+            faulty.mem.dropCaches();
+            ASSERT_TRUE(test::currentMatchesMedia(faulty.mem));
         }
         if (i == 150)
             faulty.mem.replaceDimm(a);
@@ -257,6 +260,7 @@ TEST(DimmFailure, UnmappedIoDetectsOrServesCorrect)
     std::size_t target = mem.nvmArray().dimmOf(fs.filePage(fd, 0));
     mem.failDimm(target);
     mem.dropCaches();  // cold reads must reconstruct, not hit SRAM
+    EXPECT_TRUE(test::currentMatchesMedia(mem));
 
     std::size_t served = 0, detected = 0;
     for (std::size_t p = 0; p < kFilePages; p++) {
@@ -279,9 +283,15 @@ TEST(DimmFailure, UnmappedIoDetectsOrServesCorrect)
     // Replace + rebuild restores everything, including the pages
     // whose checksum slots died with the DIMM.
     mem.replaceDimm(target);
+    mem.dropCaches();
+    EXPECT_TRUE(test::currentMatchesMedia(mem));
     RebuildEngine rebuild(mem, &fs);
+    rebuild.step(kLinesPerPage * kFilePages);
+    mem.dropCaches();
+    EXPECT_TRUE(test::currentMatchesMedia(mem));
     rebuild.runToCompletion();
-    mem.flushAll();
+    mem.dropCaches();
+    EXPECT_TRUE(test::currentMatchesMedia(mem));
     EXPECT_EQ(fs.scrub(false), 0u);
     EXPECT_EQ(fs.verifyParity(), 0u);
     for (std::size_t p = 0; p < kFilePages; p++) {

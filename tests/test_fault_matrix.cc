@@ -112,6 +112,7 @@ TEST_P(FaultMatrix, DetectAndRecover)
         break;
       }
     }
+    ASSERT_TRUE(test::currentMatchesMedia(mem)) << bugName(bug);
 
     // Reading the victim's value must return exactly what the
     // application last wrote, with the corruption detected.
@@ -250,6 +251,11 @@ TEST_P(DesignMatrix, DetectionAtDesignGranularity)
         }
     };
 
+    auto coldRestart = [&] {
+        mem.dropCaches();
+        EXPECT_TRUE(test::currentMatchesMedia(mem)) << bugName(bug);
+    };
+
     std::uint64_t wk = 0;  // misdirected write's redirected writer
     Addr wk_vaddr = 0;
     switch (bug) {
@@ -300,7 +306,7 @@ TEST_P(DesignMatrix, DetectionAtDesignGranularity)
         break;
       }
     }
-    mem.dropCaches();
+    coldRestart();
 
     // Cold observation read of the victim's payload.
     std::uint8_t got[48] = {};
@@ -333,7 +339,7 @@ TEST_P(DesignMatrix, DetectionAtDesignGranularity)
         EXPECT_EQ(mem.stats().corruptionsDetected, before);
         if (bug == Bug::MisdirectedRead) {
             // ...and gone before any sweep can run: at-rest is clean.
-            mem.dropCaches();
+            coldRestart();
             EXPECT_EQ(fs.scrub(false), 0u);
         } else {
             // ...caught at page granularity at the next quiesce.
@@ -343,7 +349,7 @@ TEST_P(DesignMatrix, DetectionAtDesignGranularity)
             if (wk_vaddr != 0)
                 fs.scrubPage(fd, pageIdxOf(wk_vaddr), true);
             EXPECT_EQ(fs.scrubPage(fd, pageIdxOf(vaddr), false), 0u);
-            mem.dropCaches();
+            coldRestart();
         }
         mem.read(0, vaddr, got, sizeof(got));
         EXPECT_EQ(std::memcmp(acked, got, sizeof(got)), 0)
@@ -356,11 +362,11 @@ TEST_P(DesignMatrix, DetectionAtDesignGranularity)
             << bugName(bug);
         EXPECT_EQ(mem.stats().corruptionsDetected, before);
         if (bug == Bug::MisdirectedRead) {
-            mem.dropCaches();
+            coldRestart();
             EXPECT_EQ(pool.verifyObjects(), 0u);
         } else {
             // Caught at object granularity by the quiesce sweep.
-            mem.dropCaches();
+            coldRestart();
             EXPECT_GT(pool.verifyObjects() + fs.verifyParity(), 0u)
                 << bugName(bug);
             restore();
@@ -378,7 +384,7 @@ TEST_P(DesignMatrix, DetectionAtDesignGranularity)
             << bugName(bug);
         EXPECT_EQ(mem.stats().corruptionsDetected, 0u);
         if (bug == Bug::MisdirectedRead)
-            mem.dropCaches();
+            coldRestart();
         else
             restore();
         mem.read(0, vaddr, got, sizeof(got));
@@ -414,6 +420,27 @@ INSTANTIATE_TEST_SUITE_P(
                 out.push_back(c);
         return out;
     });
+
+TEST(FaultResync, BitFlipReachesTheColdState)
+{
+    // A media bit flip touches no cache and no current value: only the
+    // cold restart's re-sync carries it into the current-value store.
+    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    DaxFs fs(mem);
+    int fd = fs.create("f", kPageBytes);
+    Addr base = fs.daxMap(fd);
+    const std::uint64_t v = 0x0123456789abcdefull;
+    mem.write64(0, base, v);
+    mem.dropCaches();
+    Addr g = fs.filePage(fd, 0);
+    NvmArray &nvm = mem.nvmArray();
+    nvm.dimm(nvm.dimmOf(g)).injectBitFlip(nvm.mediaAddrOf(g), 3);
+    mem.dropCaches();
+    ASSERT_TRUE(test::currentMatchesMedia(mem));
+    std::uint64_t cur = 0;
+    mem.peek(base, &cur, sizeof(cur));
+    EXPECT_EQ(cur, v ^ 0x8u);
+}
 
 TEST(FaultRedis, LostWriteOnHashtableEntry)
 {

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstring>
+#include <vector>
 
 #include "nvm/nvm.hh"
 #include "sim/config.hh"
@@ -119,6 +120,77 @@ TEST(NvmDimm, RawAccessBypassesBugs)
     dimm.rawRead(0, r.data(), kLineBytes);
     EXPECT_EQ(r, v);
     EXPECT_EQ(dimm.bugsTriggered(), 0u);
+}
+
+/** The marked pages of @p dimm, ascending; clears the set. */
+std::vector<std::size_t>
+takeChanged(NvmDimm &dimm)
+{
+    std::vector<std::size_t> pages;
+    dimm.changedPages().forEach(
+        [&](std::size_t page) { pages.push_back(page); });
+    dimm.clearChangedPages();
+    return pages;
+}
+
+TEST(NvmDimm, ChangedPagesNameEveryMediaChange)
+{
+    // A cold restart re-syncs only marked pages, so every media change
+    // must mark the page it lands on, and reads must mark nothing.
+    constexpr std::size_t kPages = 8;
+    using Pages = std::vector<std::size_t>;
+    NvmDimm dimm(kPages * kPageBytes);
+    EXPECT_EQ(takeChanged(dimm), Pages{}) << "fresh media is all zero";
+    auto v = pattern(3);
+
+    dimm.firmwareWrite(kPageBytes + kLineBytes, v.data());
+    EXPECT_EQ(takeChanged(dimm), Pages{1});
+    dimm.injectLostWrite(2 * kPageBytes);
+    dimm.firmwareWrite(2 * kPageBytes, v.data());
+    EXPECT_EQ(takeChanged(dimm), Pages{}) << "a lost write lands nowhere";
+    dimm.injectMisdirectedWrite(2 * kPageBytes, 4 * kPageBytes);
+    dimm.firmwareWrite(2 * kPageBytes, v.data());
+    EXPECT_EQ(takeChanged(dimm), Pages{4}) << "marks where it landed";
+
+    std::array<std::uint8_t, 2 * kLineBytes> two{};
+    dimm.rawWrite(6 * kPageBytes - kLineBytes, two.data(), two.size());
+    EXPECT_EQ(takeChanged(dimm), (Pages{5, 6}));
+    dimm.injectBitFlip(7 * kPageBytes + 9, 2);
+    EXPECT_EQ(takeChanged(dimm), Pages{7});
+
+    dimm.injectMisdirectedRead(0, kPageBytes);
+    dimm.firmwareRead(0, v.data());
+    dimm.rawRead(kPageBytes, two.data(), two.size());
+    EXPECT_EQ(takeChanged(dimm), Pages{}) << "reads change nothing";
+
+    Pages all(kPages);
+    for (std::size_t p = 0; p < kPages; p++)
+        all[p] = p;
+    dimm.fail();
+    EXPECT_EQ(takeChanged(dimm), all);
+    dimm.rawWrite(0, two.data(), two.size());
+    EXPECT_EQ(takeChanged(dimm), Pages{}) << "a dead device drops writes";
+    dimm.replace();
+    EXPECT_EQ(takeChanged(dimm), all);
+}
+
+TEST(NvmArray, DrainMapsChangedMediaPagesToGlobalPages)
+{
+    SimConfig cfg = test::smallConfig();
+    Stats stats(1, cfg.nvm.dimms);
+    NvmArray arr(cfg.nvm, cfg, stats);
+    std::array<std::uint8_t, kLineBytes> buf{};
+    arr.access(5 * kPageBytes, true, buf.data(), false);
+    arr.rawWrite(10 * kPageBytes + kLineBytes, buf.data(), buf.size());
+
+    PageBitmap global(arr.totalBytes());
+    arr.drainChangedPages(global);
+    std::vector<std::size_t> pages;
+    global.forEach([&](std::size_t page) { pages.push_back(page); });
+    EXPECT_EQ(pages, (std::vector<std::size_t>{5, 10}));
+    for (std::size_t d = 0; d < arr.numDimms(); d++)
+        EXPECT_EQ(takeChanged(arr.dimm(d)), std::vector<std::size_t>{})
+            << "draining clears DIMM " << d;
 }
 
 TEST(NvmArray, PageStripingAcrossDimms)

@@ -34,6 +34,7 @@ TEST_P(ShadowOracle, RandomAccessSequencesMatchReference)
     Addr base = fs.daxMap(fd);
     std::vector<std::uint8_t> shadow(bytes, 0);
     Rng rng(101);
+    std::size_t restarts = 0;
 
     for (int step = 0; step < 15000; step++) {
         std::size_t off = rng.nextBounded(bytes - 16);
@@ -55,8 +56,16 @@ TEST_P(ShadowOracle, RandomAccessSequencesMatchReference)
             mem.flushAll();
         } else {
             mem.dropCaches();
+            // The full-image check costs what a whole-image re-sync
+            // did; every 8th cold restart keeps the suite fast.
+            if (restarts++ % 8 == 0) {
+                ASSERT_TRUE(test::currentMatchesMedia(mem))
+                    << "step " << step;
+            }
         }
     }
+    mem.dropCaches();
+    EXPECT_TRUE(test::currentMatchesMedia(mem));
     // Final at-rest state equals the shadow, byte for byte.
     mem.flushAll();
     std::vector<std::uint8_t> at_rest(bytes);

@@ -175,22 +175,29 @@ tinyService()
 
 TEST(Service, AccountingIsConserved)
 {
+    // Every workload, each with two servers sharing one machine (and
+    // so one file system).
     const Design *d = findDesign("baseline");
     ASSERT_NE(d, nullptr);
-    ServiceResult r = runService(test::smallConfig(), *d, tinyService());
-    const ServiceStats &s = r.service;
+    for (const ServiceWorkloadInfo &w : serviceWorkloads()) {
+        ServiceConfig svc = tinyService();
+        svc.workload = w.name;
+        ServiceResult r = runService(test::smallConfig(), *d, svc);
+        const ServiceStats &s = r.service;
 
-    EXPECT_EQ(s.requests, 192u);
-    EXPECT_EQ(s.completed, 192u) << "open loop completes every request";
-    EXPECT_EQ(s.latency.count(), s.completed);
-    EXPECT_EQ(s.totalLatencyCycles,
-              s.totalQueueCycles + s.totalServiceCycles)
-        << "latency = queueing delay + service time, exactly";
-    EXPECT_GT(s.totalServiceCycles, 0u);
-    EXPECT_GE(s.spanCycles, s.lastArrivalCycle);
-    EXPECT_GT(s.offeredPerMcycle, 0.0);
-    EXPECT_GT(s.achievedPerMcycle, 0.0);
-    EXPECT_GE(s.maxOutstanding, 1u);
+        EXPECT_EQ(s.requests, 192u) << w.name;
+        EXPECT_EQ(s.completed, 192u)
+            << w.name << ": open loop completes every request";
+        EXPECT_EQ(s.latency.count(), s.completed) << w.name;
+        EXPECT_EQ(s.totalLatencyCycles,
+                  s.totalQueueCycles + s.totalServiceCycles)
+            << w.name << ": latency = queueing delay + service time";
+        EXPECT_GT(s.totalServiceCycles, 0u) << w.name;
+        EXPECT_GE(s.spanCycles, s.lastArrivalCycle) << w.name;
+        EXPECT_GT(s.offeredPerMcycle, 0.0) << w.name;
+        EXPECT_GT(s.achievedPerMcycle, 0.0) << w.name;
+        EXPECT_GE(s.maxOutstanding, 1u) << w.name;
+    }
 }
 
 TEST(Service, SameSeedIsBitIdentical)

@@ -6,10 +6,14 @@
 
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cctype>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "mem/memory_system.hh"
 #include "redundancy/registry.hh"
 #include "sim/config.hh"
 
@@ -42,6 +46,38 @@ controllerDesigns()
         if (d->coverage().controllerKeepsParity())
             out.push_back(d);
     return out;
+}
+
+/** The cold-restart re-sync invariant, checked after
+ *  MemorySystem::dropCaches(): every healthy NVM line's current value
+ *  equals its media, and every degraded line's equals its
+ *  reconstruction. */
+inline ::testing::AssertionResult
+currentMatchesMedia(MemorySystem &mem)
+{
+    NvmArray &nvm = mem.nvmArray();
+    std::uint8_t cur[kPageBytes];
+    std::uint8_t want[kPageBytes];
+    for (Addr page = 0; page < nvm.totalBytes(); page += kPageBytes) {
+        mem.peek(nvmDirectVaddr(page), cur, kPageBytes);
+        nvm.rawRead(page, want, kPageBytes);
+        if (!nvm.anyDegraded() &&
+            std::memcmp(cur, want, kPageBytes) == 0)
+            continue;
+        for (std::size_t off = 0; off < kPageBytes; off += kLineBytes) {
+            Addr g = page + off;
+            bool degraded = nvm.lineDegraded(g);
+            if (degraded)
+                mem.reconstructLine(g, want + off, false);
+            if (std::memcmp(cur + off, want + off, kLineBytes) != 0) {
+                return ::testing::AssertionFailure()
+                    << "current value of NVM line 0x" << std::hex << g
+                    << (degraded ? " differs from its reconstruction"
+                                 : " differs from its media");
+            }
+        }
+    }
+    return ::testing::AssertionSuccess();
 }
 
 /** A design's cliName as a gtest parameter name ("tvarak-rs4+2" ->
