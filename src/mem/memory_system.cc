@@ -145,17 +145,28 @@ MemorySystem::funcPtr(Addr paddr, bool isNvm)
     return dram_.data() + paddr;
 }
 
-const std::uint8_t *
-MemorySystem::funcPtr(Addr paddr, bool isNvm) const
-{
-    return const_cast<MemorySystem *>(this)->funcPtr(paddr, isNvm);
-}
-
 void
 MemorySystem::setCurrentLine(Addr g, const std::uint8_t *line)
 {
     std::memcpy(nvmCur_.data() + g, line, kLineBytes);
     curChanged_.mark(g);
+    if (lost_ != nullptr)
+        lost_->unmark(g);
+}
+
+void
+MemorySystem::readCurrent(Addr g, std::uint8_t *out, std::size_t len) const
+{
+    std::memcpy(out, nvmCur_.data() + g, len);
+    if (lost_ == nullptr)
+        return;
+    for (Addr line = lineBase(g); line < g + len; line += kLineBytes) {
+        if (!lost_->test(line))
+            continue;
+        Addr from = std::max(line, g);
+        Addr to = std::min(line + kLineBytes, g + len);
+        std::memset(out + (from - g), NvmDimm::kPoisonByte, to - from);
+    }
 }
 
 Addr
@@ -194,7 +205,10 @@ MemorySystem::peek(Addr vaddr, void *buf, std::size_t len) const
         Translation t = translateOrDie(vaddr);
         std::size_t chunk =
             std::min(len, kPageBytes - pageOffset(vaddr));
-        std::memcpy(out, funcPtr(t.paddr, t.isNvm), chunk);
+        if (t.isNvm)
+            readCurrent(nvmGlobal(t.paddr), out, chunk);
+        else
+            std::memcpy(out, dram_.data() + t.paddr, chunk);
         vaddr += chunk;
         out += chunk;
         len -= chunk;
@@ -550,6 +564,9 @@ MemorySystem::writebackNvmLine(std::size_t bank, Addr paddr,
                                bool forcedByDiffEviction)
 {
     Addr g = nvmGlobal(paddr);
+    panic_if(lost_ != nullptr && lost_->test(g),
+             "NVM line %llx is cached but in the lost set",
+             static_cast<unsigned long long>(g));
     std::uint8_t *cur = funcPtr(paddr, true);
     ctrl_->writeback(bank, g, cur, forcedByDiffEviction);
     if (nvm_.anyDegraded() && nvm_.writeBlocked(g)) {
@@ -617,24 +634,27 @@ MemorySystem::failDimm(std::size_t dimm)
     // happened to observe the fail/replace transition.
     if (nvm_.dimmState(dimm) == NvmArray::DimmState::Rebuilding)
         stats_.rebuildRestarts++;
-    // Order matters: the array flips the DIMM state and poisons its
+    // Order matters: the array flips the DIMM state and drops its
     // media first, so everything below sees the degraded world.
     nvm_.failDimm(dimm);
     // Cached redundancy lines homed on the dead DIMM could never be
     // written back; the rebuild engine recomputes them from data.
     engine_.invalidateRedLinesOfDimm(dimm);
     // Current values that no cache still holds are architecturally
-    // lost until reconstructed. Poison them so any path that consumes
-    // one without going through a (reconstructing) fill is loudly
-    // wrong, never silently stale. LLC inclusion makes the LLC probe
-    // cover the private levels too.
-    std::uint8_t poison[kLineBytes];
-    std::memset(poison, NvmDimm::kPoisonByte, kLineBytes);
-    for (Addr m = 0; m < cfg_.nvm.dimmBytes; m += kLineBytes) {
-        Addr g = nvm_.globalAddrOf(dimm, m);
-        Addr paddr = kNvmPhysBase + g;
-        if (llc_[bankOf(paddr)].probe(paddr) == nullptr)
-            setCurrentLine(g, poison);
+    // lost until reconstructed: they join the lost set, which reads as
+    // poison, so any path that consumes one without going through a
+    // (reconstructing) fill is loudly wrong, never silently stale. LLC
+    // inclusion makes the walk of the LLC banks cover the private
+    // levels too.
+    if (lost_ == nullptr)
+        lost_ = std::make_unique<LineBitmap>(nvmCur_.size());
+    for (Addr m = 0; m < cfg_.nvm.dimmBytes; m += kPageBytes)
+        lost_->markRange(nvm_.globalAddrOf(dimm, m), kPageBytes);
+    for (Cache &bank : llc_) {
+        bank.forEachLine([&](Cache::Line &line) {
+            if (isNvmPhys(line.addr))
+                lost_->unmark(nvmGlobal(line.addr));
+        });
     }
 }
 
@@ -660,8 +680,7 @@ MemorySystem::memberLine(Addr nvmAddr, std::uint8_t *out, bool charge)
         // Software schemes update parity synchronously with the data
         // write (DaxFs pwrite; TxB schemes at commit), i.e. against
         // current values.
-        std::memcpy(out, funcPtr(kNvmPhysBase + nvmAddr, true),
-                    kLineBytes);
+        readCurrent(nvmAddr, out, kLineBytes);
     }
     if (charge)
         nvm_.charge(nvmAddr, false, false);
@@ -758,8 +777,7 @@ MemorySystem::reconstructLine(Addr nvmAddr, std::uint8_t *out, bool charge)
             return false;
         }
     }
-    std::memcpy(out, funcPtr(kNvmPhysBase + parity_line, true),
-                kLineBytes);
+    readCurrent(parity_line, out, kLineBytes);
     if (charge)
         nvm_.charge(parity_line, false, true);
     for (Addr page : pages) {
@@ -850,9 +868,17 @@ MemorySystem::degradedFill(std::size_t bank, Addr g, std::uint8_t *media)
 void
 MemorySystem::refreshCurIfUncached(Addr nvmAddr, const std::uint8_t *data)
 {
-    Addr paddr = kNvmPhysBase + lineBase(nvmAddr);
-    if (llc_[bankOf(paddr)].probe(paddr) == nullptr)
-        setCurrentLine(lineBase(nvmAddr), data);
+    Addr g = lineBase(nvmAddr);
+    Addr paddr = kNvmPhysBase + g;
+    if (llc_[bankOf(paddr)].probe(paddr) != nullptr)
+        return;
+    // Compare first: the rebuild re-derives every line of a device,
+    // most of them zero, and rewriting equal bytes would fault in
+    // store pages that nothing else touches.
+    if (lost_ != nullptr)
+        lost_->unmark(g);
+    if (std::memcmp(nvmCur_.data() + g, data, kLineBytes) != 0)
+        setCurrentLine(g, data);
 }
 
 void
@@ -926,6 +952,11 @@ MemorySystem::dropCaches()
     // recoverable so cold fills observe the reconstructed values.
     if (nvm_.anyDegraded())
         refreshDegradedCurrent();
+    // Every lost line's DIMM failed since the last re-sync, and its
+    // failure marked all of the DIMM's pages: the copy above and the
+    // re-derivation replaced every lost value.
+    if (lost_ != nullptr)
+        lost_->clear();
 }
 
 void
@@ -936,8 +967,14 @@ MemorySystem::refreshFromMedia(Addr vaddr, std::size_t len)
         panic_if(!t.isNvm, "refreshFromMedia on a DRAM address");
         std::size_t chunk =
             std::min(len, kPageBytes - pageOffset(vaddr));
-        // Current value := media, so the page needs no mark.
-        nvm_.rawRead(nvmGlobal(t.paddr), funcPtr(t.paddr, true), chunk);
+        // Current value := media, so the page needs no mark, and no
+        // line of the chunk is lost any more.
+        Addr g = nvmGlobal(t.paddr);
+        nvm_.rawRead(g, funcPtr(t.paddr, true), chunk);
+        if (lost_ != nullptr) {
+            for (Addr line = g; line < g + chunk; line += kLineBytes)
+                lost_->unmark(line);
+        }
         vaddr += chunk;
         len -= chunk;
     }

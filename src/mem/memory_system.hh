@@ -230,10 +230,13 @@ class MemorySystem
 
     /** Pointer into the current-value store for @p paddr. */
     std::uint8_t *funcPtr(Addr paddr, bool isNvm);
-    const std::uint8_t *funcPtr(Addr paddr, bool isNvm) const;
-    /** Install @p line as NVM line @p g's current value and mark its
-     *  page for the next re-sync (see curChanged_). */
+    /** Install @p line as NVM line @p g's current value, mark its page
+     *  for the next re-sync (see curChanged_) and take it out of the
+     *  lost set. */
     void setCurrentLine(Addr g, const std::uint8_t *line);
+    /** Copy @p len bytes of current values from NVM-global @p g, with
+     *  poison in place of lines in the lost set. */
+    void readCurrent(Addr g, std::uint8_t *out, std::size_t len) const;
 
     /** One line-granular timed access. */
     void accessLine(int tid, Addr vaddr, std::size_t offset,
@@ -317,11 +320,11 @@ class MemorySystem
     /**
      * Pages of nvmCur_ written outside the re-sync since the last
      * dropCaches(). Every such write goes through setCurrentLine():
-     * NVM fills (demand and prefetch), failDimm()'s poison,
-     * refreshCurIfUncached() and refreshDegradedCurrent(). Timed
-     * stores need no mark: dropCaches() empties every cache, so a
-     * store's line was filled, and its page marked, after the last
-     * re-sync. refreshFromMedia() copies media in, so needs none.
+     * NVM fills (demand and prefetch), refreshCurIfUncached() and
+     * refreshDegradedCurrent(). Timed stores need no mark:
+     * dropCaches() empties every cache, so a store's line was filled,
+     * and its page marked, after the last re-sync. refreshFromMedia()
+     * copies media in, so needs none.
      *
      * Invariant: a page that neither this set nor any DIMM's
      * changedPages() marks holds equal current value and media. It
@@ -329,6 +332,21 @@ class MemorySystem
      * restores it by copying exactly the union of the marked pages.
      */
     PageBitmap curChanged_;
+    /**
+     * The lost set: NVM lines whose current value died with their
+     * DIMM. failDimm() adds every line of the DIMM that no cache
+     * holds; their bytes in nvmCur_ are stale, and readCurrent()
+     * returns poison for them instead. A line leaves the set when a
+     * new value is installed (setCurrentLine(), refreshCurIfUncached()
+     * or refreshFromMedia()), and dropCaches() empties it, because
+     * its re-sync re-derives every degraded line.
+     *
+     * Invariant: no cache holds a line in the set (a fill installs
+     * the line's value first), so the timed path never reads a lost
+     * value. Allocated at the first failure: fault-free runs pay
+     * nothing.
+     */
+    std::unique_ptr<LineBitmap> lost_;
     std::vector<Addr> daxPageTable_;    //!< vpage -> NVM page | kUnmapped
     std::unique_ptr<RsCode> rsCodec_;   //!< lazily built geometry codec
     Addr dramBrk_;

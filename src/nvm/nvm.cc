@@ -79,8 +79,14 @@ NvmDimm::firmwareWrite(Addr mediaAddr, const void *buf)
         dst = bug.actual;
         checkAddr(dst, kLineBytes);
     }
-    kernels::ops().copyLine(media_.data() + dst, buf);
-    changed_.mark(dst);
+    // Equal bytes change nothing, and skipping their copy leaves media
+    // that was never written untouched in host memory (a rebuild
+    // writes every line of a fresh device, most of them zero).
+    std::uint8_t *line = media_.data() + dst;
+    if (std::memcmp(line, buf, kLineBytes) != 0) {
+        kernels::ops().copyLine(line, buf);
+        changed_.mark(dst);
+    }
     // The firmware updates the inline ECC atomically with the data; a
     // misdirected write thus leaves a *consistent* wrong line.
     ecc_[dst / kLineBytes] = computeEcc(dst);
@@ -90,7 +96,10 @@ void
 NvmDimm::rawRead(Addr mediaAddr, void *buf, std::size_t len) const
 {
     checkAddr(mediaAddr, len);
-    std::memcpy(buf, media_.data() + mediaAddr, len);
+    if (failed_)
+        std::memset(buf, kPoisonByte, len);
+    else
+        std::memcpy(buf, media_.data() + mediaAddr, len);
 }
 
 void
@@ -112,6 +121,8 @@ NvmDimm::eccCheck(Addr mediaAddr) const
 {
     Addr line = lineBase(mediaAddr);
     checkAddr(line, kLineBytes);
+    if (failed_)
+        return false;  // poison never carries a valid ECC
     return ecc_[line / kLineBytes] == computeEcc(line);
 }
 
@@ -139,6 +150,8 @@ void
 NvmDimm::injectBitFlip(Addr mediaAddr, unsigned bit)
 {
     checkAddr(mediaAddr, 1);
+    if (failed_)
+        return;  // a dead device has no media left to corrupt
     media_[mediaAddr] ^= static_cast<std::uint8_t>(1u << (bit % CHAR_BIT));
     changed_.mark(mediaAddr);
     // Deliberately no ECC update: this is a media error, which the
@@ -156,13 +169,12 @@ void
 NvmDimm::fail()
 {
     failed_ = true;
-    // The content is gone. Poison instead of zero so that any path
-    // that wrongly consumes a dead line produces loudly wrong bytes
-    // (which the system checksums then flag) rather than plausible
-    // zeroes.
-    std::fill(media_.begin(), media_.end(), kPoisonByte);
+    // The content is gone, and so is its host memory. Until replace()
+    // the device reads as poison, not as the fresh buffer's zeroes, so
+    // any path that wrongly consumes a dead line gets loudly wrong
+    // bytes (which the system checksums then flag).
+    media_ = HostBuffer(media_.size());
     changed_.markRange(0, media_.size());
-    std::fill(ecc_.begin(), ecc_.end(), std::uint8_t{0});
     clearInjectedBugs();
 }
 
@@ -170,8 +182,7 @@ void
 NvmDimm::replace()
 {
     panic_if(!failed_, "replacing a healthy DIMM");
-    failed_ = false;
-    std::fill(media_.begin(), media_.end(), std::uint8_t{0});
+    failed_ = false;  // fail() already installed zeroed media
     changed_.markRange(0, media_.size());
     std::uint8_t zero_ecc = computeEcc(0);
     std::fill(ecc_.begin(), ecc_.end(), zero_ecc);

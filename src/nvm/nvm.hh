@@ -73,7 +73,7 @@ class NvmDimm
     void prefetch(Addr mediaAddr) const
     {
         // Both host lines a (possibly unaligned) 64B span can touch.
-        if (mediaAddr + kLineBytes <= media_.size()) {
+        if (!failed_ && mediaAddr + kLineBytes <= media_.size()) {
             const std::uint8_t *p = media_.data() + mediaAddr;
             std::uint8_t a = p[0];
             std::uint8_t b = p[kLineBytes - 1];
@@ -104,14 +104,17 @@ class NvmDimm
     /**@}*/
 
     /** @name Whole-device failure lifecycle
-     *  fail() models the DIMM dying: the media content is gone (filled
-     *  with a poison byte so that any read which should have been
-     *  reconstructed instead returns loud garbage), pending injected
-     *  bugs are dropped, and firmware accesses panic — the memory
-     *  system must route around a failed device. Raw reads still
-     *  return the poison (downstream checksum checks turn it into a
-     *  *detected* loss); raw writes are silently discarded. replace()
-     *  installs a fresh, zeroed device in the slot. */
+     *  fail() models the DIMM dying: the media content is gone, and
+     *  the device releases its host memory. Pending injected bugs are
+     *  dropped, and firmware accesses panic — the memory system must
+     *  route around a failed device. Until replace(), every media line
+     *  reads as kPoisonByte, so a read that should have been
+     *  reconstructed returns loud garbage (downstream checksum checks
+     *  turn it into a *detected* loss): rawRead() returns poison, and
+     *  eccCheck() fails as it does for any poison line. rawWrite(),
+     *  injectBitFlip() and prefetch() do nothing. replace() installs a fresh, zeroed
+     *  device in the slot; it costs host memory only as lines are
+     *  written. */
     /**@{*/
     void fail();
     void replace();
@@ -125,11 +128,12 @@ class NvmDimm
     std::uint64_t bugsTriggered() const { return bugsTriggered_; }
 
     /** @name Changed media pages
-     *  Every path that changes media bytes marks their page: firmware
-     *  writes (at the line the data lands on, so a misdirected write
-     *  marks its target and a lost write marks nothing), raw writes,
-     *  bit flips, and fail()/replace() (the whole device). The memory
-     *  system drains the set at each cold restart (NvmArray::
+     *  Every path that changes the bytes a media read returns marks
+     *  their page: firmware writes whose bytes differ from the line
+     *  they land on (so a misdirected write marks its target, and a
+     *  lost write or a rewrite of equal bytes marks nothing), raw
+     *  writes, bit flips, and fail()/replace() (the whole device). The
+     *  memory system drains the set at each cold restart (NvmArray::
      *  drainChangedPages). */
     /**@{*/
     const PageBitmap &changedPages() const { return changed_; }

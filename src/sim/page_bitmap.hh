@@ -1,12 +1,15 @@
 /**
  * @file
- * PageBitmap: one bit per 4 KiB page of a flat byte image, naming the
- * pages that changed since the owner last cleared it.
+ * GranuleBitmap: one bit per fixed-size granule of a flat byte image.
  *
- * Each NVM DIMM keeps one over its media and the memory system keeps
- * one over its NVM current-value store, so a cold restart
- * (MemorySystem::dropCaches) copies only the pages that either side
- * changed instead of the whole image.
+ * Two granules are in use:
+ *  - PageBitmap, one bit per 4 KiB page, names the pages that changed
+ *    since the owner last cleared it. Each NVM DIMM keeps one over its
+ *    media and the memory system keeps one over its NVM current-value
+ *    store, so a cold restart (MemorySystem::dropCaches) copies only
+ *    the pages that either side changed instead of the whole image.
+ *  - LineBitmap, one bit per 64 B line, is the memory system's lost
+ *    set: the NVM lines whose current value died with a DIMM.
  */
 
 #pragma once
@@ -22,34 +25,41 @@
 
 namespace tvarak {
 
-class PageBitmap
+template <std::size_t GranuleBytes>
+class GranuleBitmap
 {
   public:
     /** An empty set over an image of @p bytes. */
-    explicit PageBitmap(std::size_t bytes)
-        : words_((pageNumber(bytes + kPageBytes - 1) + kWordBits - 1) /
-                 kWordBits,
+    explicit GranuleBitmap(std::size_t bytes)
+        : words_((granuleOf(bytes + GranuleBytes - 1) + kWordBits - 1) /
+                     kWordBits,
                  Word{0})
     {}
 
-    /** Mark the page holding byte @p addr of the image. */
-    void
-    mark(Addr addr)
+    /** Mark the granule holding byte @p addr of the image. */
+    void mark(Addr addr) { wordOf(addr) |= bitOf(addr); }
+
+    /** Unmark the granule holding byte @p addr. */
+    void unmark(Addr addr) { wordOf(addr) &= ~bitOf(addr); }
+
+    /** Is the granule holding byte @p addr marked? */
+    bool
+    test(Addr addr) const
     {
-        std::uint64_t page = pageNumber(addr);
-        words_[page / kWordBits] |= Word{1} << (page % kWordBits);
+        return (words_[granuleOf(addr) / kWordBits] & bitOf(addr)) != 0;
     }
 
-    /** Mark every page that [@p addr, @p addr + @p len) touches. */
+    /** Mark every granule that [@p addr, @p addr + @p len) touches. */
     void
     markRange(Addr addr, std::size_t len)
     {
-        for (Addr p = pageBase(addr); p < addr + len; p += kPageBytes)
-            mark(p);
+        for (Addr g = addr - addr % GranuleBytes; g < addr + len;
+             g += GranuleBytes)
+            mark(g);
     }
 
-    /** Call @p fn(pageNumber) for every marked page, in ascending
-     *  order. */
+    /** Call @p fn(granule index) for every marked granule, in
+     *  ascending order. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
@@ -69,7 +79,20 @@ class PageBitmap
     static constexpr std::size_t kWordBits =
         std::numeric_limits<Word>::digits;
 
+    static std::uint64_t granuleOf(Addr addr) { return addr / GranuleBytes; }
+    static Word
+    bitOf(Addr addr)
+    {
+        return Word{1} << (granuleOf(addr) % kWordBits);
+    }
+    Word &wordOf(Addr addr) { return words_[granuleOf(addr) / kWordBits]; }
+
     std::vector<Word> words_;
 };
+
+/** One bit per 4 KiB page: the changed-page sets. */
+using PageBitmap = GranuleBitmap<kPageBytes>;
+/** One bit per 64 B line: the memory system's lost set. */
+using LineBitmap = GranuleBitmap<kLineBytes>;
 
 }  // namespace tvarak

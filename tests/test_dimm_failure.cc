@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/trees/pmem_map.hh"
@@ -301,6 +303,154 @@ TEST(DimmFailure, UnmappedIoDetectsOrServesCorrect)
             fs.pread(0, fd, p * kPageBytes, got.data(), kPageBytes));
         ASSERT_EQ(std::memcmp(page.data(), got.data(), kPageBytes), 0);
     }
+}
+
+/** @p bytes of test data in which no line is all
+ *  NvmDimm::kPoisonByte. */
+std::vector<std::uint8_t>
+filePattern(std::size_t bytes)
+{
+    std::vector<std::uint8_t> out(bytes);
+    for (std::size_t i = 0; i < bytes; i++)
+        out[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    return out;
+}
+
+TEST(DimmFailure, UncachedLinesReadAsPoisonUntilRederived)
+{
+    // A lost current value reads as poison until the rebuild or a cold
+    // restart re-derives it, so any path that skips the reconstructing
+    // fill is loudly wrong. It is also what makes a twin-image check
+    // after the rebuild meaningful: a line the rebuild missed cannot
+    // pass for its old bytes.
+    MemorySystem mem(test::smallConfig(), DesignKind::Tvarak);
+    DaxFs fs(mem);
+    int fd = fs.create("f", kFilePages * kPageBytes);
+    Addr base = fs.daxMap(fd);
+    const std::vector<std::uint8_t> want =
+        filePattern(kFilePages * kPageBytes);
+    mem.write(0, base, want.data(), want.size());
+    mem.dropCaches();  // written back, and no cache holds any line
+
+    NvmArray &nvm = mem.nvmArray();
+    std::size_t d = nvm.dimmOf(fs.filePage(fd, 0));
+    // The LLC holds this line when the DIMM dies. It is the last of
+    // its page, so the next-line prefetcher brings in no other.
+    Addr held = base + kPageBytes - kLineBytes;
+    std::uint8_t line[kLineBytes];
+    mem.read(0, held, line, kLineBytes);
+    mem.failDimm(d);
+
+    std::uint8_t poison[kLineBytes];
+    std::memset(poison, NvmDimm::kPoisonByte, kLineBytes);
+    std::size_t lost = 0;
+    for (std::size_t off = 0; off < want.size(); off += kLineBytes) {
+        mem.peek(base + off, line, kLineBytes);
+        bool dead = nvm.dimmOf(fs.filePage(fd, off / kPageBytes)) == d;
+        if (dead && base + off != held) {
+            ASSERT_EQ(std::memcmp(line, poison, kLineBytes), 0)
+                << "uncached line at file offset " << off;
+            lost++;
+        } else {
+            ASSERT_EQ(std::memcmp(line, want.data() + off, kLineBytes), 0)
+                << (dead ? "LLC-held" : "live-DIMM") << " line at file "
+                << "offset " << off << " lost its value";
+        }
+    }
+    EXPECT_GT(lost, 0u);
+
+    // A fill re-derives a lost line: the degraded read reconstructs
+    // it, and the store holds the result until the line is written
+    // back (dropped on the dead DIMM).
+    Addr refilled = base + kLineBytes;
+    mem.read(0, refilled, line, kLineBytes);
+    EXPECT_EQ(std::memcmp(line, want.data() + kLineBytes, kLineBytes), 0);
+    mem.write(0, refilled, want.data() + kLineBytes, kLineBytes);
+    mem.flushAll();
+    mem.peek(refilled, line, kLineBytes);
+    EXPECT_EQ(std::memcmp(line, want.data() + kLineBytes, kLineBytes), 0);
+
+    // So does a re-read of its media: the fresh device reads as zero
+    // until the rebuild passes.
+    mem.replaceDimm(d);
+    Addr fromMedia = base + 2 * kLineBytes;
+    mem.refreshFromMedia(fromMedia, kLineBytes);
+    std::uint8_t zero[kLineBytes] = {};
+    mem.peek(fromMedia, line, kLineBytes);
+    EXPECT_EQ(std::memcmp(line, zero, kLineBytes), 0);
+
+    std::vector<std::uint8_t> got(want.size());
+    RebuildEngine(mem, &fs).runToCompletion();
+    mem.peek(base, got.data(), got.size());
+    EXPECT_EQ(got, want) << "the rebuild re-derives every lost line";
+    mem.dropCaches();
+    EXPECT_TRUE(test::currentMatchesMedia(mem));
+
+    // A cold restart while the DIMM is down re-derives them too.
+    mem.failDimm(d);
+    mem.dropCaches();
+    EXPECT_TRUE(test::currentMatchesMedia(mem));
+    mem.peek(base, got.data(), got.size());
+    EXPECT_EQ(got, want) << "the cold restart re-derives every lost line";
+    mem.replaceDimm(d);
+    RebuildEngine(mem, &fs).runToCompletion();
+    mem.peek(base, got.data(), got.size());
+    EXPECT_EQ(got, want);
+}
+
+#if defined(__linux__)
+/** This process's resident set size in MiB (VmRSS). */
+double
+residentMib()
+{
+    std::ifstream in("/proc/self/status");
+    std::string key;
+    while (in >> key) {
+        if (key == "VmRSS:") {
+            long kib = 0;
+            in >> kib;
+            return static_cast<double>(kib) / 1024;
+        }
+        std::getline(in, key);
+    }
+    ADD_FAILURE() << "no VmRSS in /proc/self/status";
+    return 0;
+}
+#endif
+
+TEST(DimmFailure, LifecycleMemoryFollowsLiveData)
+{
+#if !defined(__linux__)
+    GTEST_SKIP() << "reads VmRSS from /proc/self/status";
+#else
+    // A lost line only has to read as lost, and the rebuild only has
+    // to restore live data: failing, replacing and rebuilding a
+    // 64 MiB DIMM that holds a fraction of 1 MiB of data must not grow
+    // the simulator by anything like the device's size.
+    constexpr double kSlackMib = 16;
+    constexpr std::size_t kBytes = 1ull << 20;
+    SimConfig cfg = test::smallConfig();
+    cfg.nvm.dimmBytes = 64ull << 20;
+    MemorySystem mem(cfg, DesignKind::Tvarak);
+    DaxFs fs(mem);
+    int fd = fs.create("f", kBytes);
+    Addr base = fs.daxMap(fd);
+    const std::vector<std::uint8_t> want = filePattern(kBytes);
+    mem.write(0, base, want.data(), want.size());
+    mem.flushAll();
+    std::vector<std::uint8_t> got(kBytes);
+    std::size_t d = mem.nvmArray().dimmOf(fs.filePage(fd, 0));
+
+    double before = residentMib();
+    mem.failDimm(d);
+    EXPECT_LE(residentMib() - before, kSlackMib) << "after failDimm";
+    mem.replaceDimm(d);
+    EXPECT_LE(residentMib() - before, kSlackMib) << "after replaceDimm";
+    RebuildEngine(mem, &fs).runToCompletion();
+    EXPECT_LE(residentMib() - before, kSlackMib) << "after the rebuild";
+    mem.read(0, base, got.data(), got.size());
+    EXPECT_EQ(got, want);
+#endif
 }
 
 TEST(Scrubber, IncrementalRepairAndDegradedSkip)

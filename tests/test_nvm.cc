@@ -108,6 +108,12 @@ TEST(NvmDimm, BitFlipCaughtByEcc)
     dimm.injectBitFlip(5, 3);
     EXPECT_FALSE(dimm.eccCheck(0))
         << "media error must fail device ECC";
+    std::array<std::uint8_t, kLineBytes> flipped{};
+    dimm.rawRead(0, flipped.data(), kLineBytes);
+    dimm.firmwareWrite(0, flipped.data());
+    EXPECT_TRUE(dimm.eccCheck(0))
+        << "a firmware write recomputes the ECC, even of bytes that are "
+           "already there";
 }
 
 TEST(NvmDimm, RawAccessBypassesBugs)
@@ -145,6 +151,11 @@ TEST(NvmDimm, ChangedPagesNameEveryMediaChange)
 
     dimm.firmwareWrite(kPageBytes + kLineBytes, v.data());
     EXPECT_EQ(takeChanged(dimm), Pages{1});
+    std::array<std::uint8_t, kLineBytes> zero{};
+    dimm.firmwareWrite(kPageBytes + kLineBytes, v.data());
+    dimm.firmwareWrite(3 * kPageBytes, zero.data());
+    EXPECT_EQ(takeChanged(dimm), Pages{})
+        << "a firmware write of the bytes already there changes nothing";
     dimm.injectLostWrite(2 * kPageBytes);
     dimm.firmwareWrite(2 * kPageBytes, v.data());
     EXPECT_EQ(takeChanged(dimm), Pages{}) << "a lost write lands nowhere";
@@ -169,9 +180,36 @@ TEST(NvmDimm, ChangedPagesNameEveryMediaChange)
     dimm.fail();
     EXPECT_EQ(takeChanged(dimm), all);
     dimm.rawWrite(0, two.data(), two.size());
-    EXPECT_EQ(takeChanged(dimm), Pages{}) << "a dead device drops writes";
+    dimm.injectBitFlip(kPageBytes + 9, 2);
+    EXPECT_EQ(takeChanged(dimm), Pages{})
+        << "a dead device drops writes and bit flips";
     dimm.replace();
     EXPECT_EQ(takeChanged(dimm), all);
+}
+
+TEST(NvmDimm, FailedDeviceReadsPoisonUntilReplaced)
+{
+    NvmDimm dimm(4 * kPageBytes);
+    auto v = pattern(11);
+    dimm.firmwareWrite(kPageBytes, v.data());
+    dimm.fail();
+
+    std::array<std::uint8_t, kLineBytes> poison, zero{}, r{};
+    poison.fill(NvmDimm::kPoisonByte);
+    dimm.rawWrite(kPageBytes, v.data(), kLineBytes);
+    dimm.injectBitFlip(kPageBytes + 3, 1);
+    for (Addr a = 0; a < dimm.bytes(); a += kLineBytes) {
+        dimm.rawRead(a, r.data(), kLineBytes);
+        ASSERT_EQ(r, poison) << "dead line 0x" << std::hex << a;
+        ASSERT_FALSE(dimm.eccCheck(a)) << "dead line 0x" << std::hex << a;
+    }
+
+    dimm.replace();
+    for (Addr a = 0; a < dimm.bytes(); a += kLineBytes) {
+        dimm.rawRead(a, r.data(), kLineBytes);
+        ASSERT_EQ(r, zero) << "fresh line 0x" << std::hex << a;
+        ASSERT_TRUE(dimm.eccCheck(a)) << "fresh line 0x" << std::hex << a;
+    }
 }
 
 TEST(NvmArray, DrainMapsChangedMediaPagesToGlobalPages)
@@ -179,7 +217,8 @@ TEST(NvmArray, DrainMapsChangedMediaPagesToGlobalPages)
     SimConfig cfg = test::smallConfig();
     Stats stats(1, cfg.nvm.dimms);
     NvmArray arr(cfg.nvm, cfg, stats);
-    std::array<std::uint8_t, kLineBytes> buf{};
+    std::array<std::uint8_t, kLineBytes> buf;
+    buf.fill(0x5a);  // fresh media is zero: zero bytes would change nothing
     arr.access(5 * kPageBytes, true, buf.data(), false);
     arr.rawWrite(10 * kPageBytes + kLineBytes, buf.data(), buf.size());
 
