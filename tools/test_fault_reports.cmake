@@ -45,6 +45,11 @@ expect_report(multi_s1_rs4+2 multi --seed 1 --design tvarak-rs4+2
               --fail-dimms 0,1 --ops 96)
 expect_report(multi_s1_rs4+2_refail multi --seed 1
               --design tvarak-rs4+2 --fail-dimms 0 --refail --ops 96)
+# CI's full-length rs6+2 run: the only end-to-end n = 6 decode.
+expect_report(multi_s1_rs6+2 multi --seed 1 --design tvarak-rs6+2
+              --fail-dimms 0,1)
+# CI's default-schedule rs4+2 run at another seed.
+expect_report(multi_s5_rs4+2 multi --seed 5 --design tvarak-rs4+2)
 # Single-parity negative control; 32 keys keep the per-key cold
 # probes of the lost values short.
 expect_report(multi_s1_xor_control multi --seed 1 --design tvarak

@@ -1,5 +1,6 @@
-# Golden JSON of bench_service's two fault modes: each run below must
-# exit 0 and write results/bench_service.json byte-identical to
+# Golden JSON of bench_service's default sweep and its two fault
+# modes: each run below must exit 0 and write
+# results/bench_service.json byte-identical to
 # tests/golden/service/<name>.json. Driven by ctest
 # (service_fault_reports); needs -DSERVICE= and -DSRC=. Each run works
 # in its own directory, because the bench writes a fixed relative
@@ -38,6 +39,8 @@ function(expect_service_json name)
     set(failures "${failures}" PARENT_SCOPE)
 endfunction()
 
+# CI's default sweep across every registered design.
+expect_service_json(sweep_s5 --jobs 2 --requests 256 --seed 5)
 # The two fault modes of CI's service-smoke job.
 expect_service_json(fail_dimm_bursty --jobs 2 --requests 256
                     --arrival bursty --design tvarak --design vilamb
