@@ -81,7 +81,7 @@ std::atomic<std::uint64_t> RsCode::constructions_{0};
 RsCode::RsCode(std::size_t n, std::size_t k)
     : n_(n), k_(k), coeff_(k * n)
 {
-    panic_if(n < 2 || k < 1 || n + k > 255,
+    panic_if(n < 2 || k < 1 || n + k > kMaxMembers,
              "RsCode: bad geometry %zu+%zu", n, k);
     constructions_.fetch_add(1, std::memory_order_relaxed);
 
@@ -105,14 +105,19 @@ RsCode::RsCode(std::size_t n, std::size_t k)
 }
 
 void
+RsCode::encodeRole(std::uint8_t *parity, std::size_t j,
+                   const std::uint8_t *const members[]) const
+{
+    std::memset(parity, 0, kLineBytes);
+    for (std::size_t i = 0; i < n_; i++)
+        updateParity(parity, members[i], j, i);
+}
+
+void
 RsCode::encode(std::uint8_t *const members[]) const
 {
-    for (std::size_t j = 0; j < k_; j++) {
-        std::uint8_t *parity = members[n_ + j];
-        std::memset(parity, 0, kLineBytes);
-        for (std::size_t i = 0; i < n_; i++)
-            updateParity(parity, members[i], j, i);
-    }
+    for (std::size_t j = 0; j < k_; j++)
+        encodeRole(members[n_ + j], j, members);
 }
 
 bool
@@ -121,19 +126,40 @@ RsCode::decode(std::uint8_t *const members[],
 {
     const std::size_t total = n_ + k_;
     std::size_t missing = 0;
-    for (std::size_t m = 0; m < total; m++)
-        missing += present[m] ? 0 : 1;
+    std::size_t lost = total;
+    for (std::size_t m = 0; m < total; m++) {
+        if (!present[m]) {
+            missing++;
+            lost = m;
+        }
+    }
     if (missing == 0)
         return true;
     if (missing > k_)
         return false;
+    if (missing == 1) {
+        // Every other member survives. Parity 0 is the XOR of the
+        // data, so a lost data member is parity 0 XOR the others; a
+        // lost parity member is re-encoded from the data.
+        std::uint8_t *out = members[lost];
+        if (lost >= n_) {
+            encodeRole(out, lost - n_, members);
+            return true;
+        }
+        std::memcpy(out, members[n_], kLineBytes);
+        for (std::size_t i = 0; i < n_; i++) {
+            if (i != lost)
+                xorLine(out, members[i]);
+        }
+        return true;
+    }
 
     // Solve for the data vector from n surviving generator rows.
     // Generator G is (n+k) x n: rows 0..n-1 identity, rows n..n+k-1
     // the Cauchy parity block. Pick the first n surviving members,
     // Gauss-Jordan invert their rows as the square system
     // [rows | survivor values] -> [I | data].
-    std::size_t rows[255];
+    std::size_t rows[kMaxMembers];
     std::size_t nrows = 0;
     for (std::size_t m = 0; m < total && nrows < n_; m++) {
         if (present[m])
@@ -195,18 +221,10 @@ RsCode::decode(std::uint8_t *const members[],
         if (!present[i])
             std::memcpy(members[i], &rhs[i * kLineBytes], kLineBytes);
     }
-    // ...and recompute missing parity from the full data vector.
+    // ...and re-encode missing parity from the now complete data.
     for (std::size_t j = 0; j < k_; j++) {
-        if (present[n_ + j])
-            continue;
-        std::uint8_t *parity = members[n_ + j];
-        std::memset(parity, 0, kLineBytes);
-        for (std::size_t i = 0; i < n_; i++) {
-            gf256::mulLineInto(parity,
-                               present[i] ? members[i]
-                                          : &rhs[i * kLineBytes],
-                               coeff(j, i));
-        }
+        if (!present[n_ + j])
+            encodeRole(members[n_ + j], j, members);
     }
     return true;
 }

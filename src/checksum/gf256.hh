@@ -16,8 +16,10 @@
  * which is exactly the MDS property the any-n-survivors guarantee
  * needs. The matrix is then column-normalized so that parity row
  * 0 is all ones — parity member 0 is the plain XOR of the data
- * members, i.e. the RAID-5 "P" parity, and single-failure
- * reconstruction degenerates to the familiar XOR.
+ * members, i.e. the RAID-5 "P" parity. RsCode(n, 1) is therefore
+ * RAID-5 itself, and a single erasure decodes without elimination:
+ * a lost data member is parity 0 XOR the other data members, and a
+ * lost parity member is re-encoded from the data.
  *
  * Parity maintenance is incremental, matching TVARAK's diff-based
  * updates: when data member i changes by diff (old ^ new),
@@ -51,11 +53,14 @@ void mulLineInto(void *dst, const void *src, std::uint8_t c);
 /**
  * Systematic Reed-Solomon n+k erasure code over 64 B cache lines.
  * Member indexing: 0..n-1 data, n..n+k-1 parity. Requires
- * 2 <= n, 1 <= k, n + k <= 255.
+ * 2 <= n, 1 <= k, n + k <= kMaxMembers.
  */
 class RsCode
 {
   public:
+    /** Largest stripe (n + k) the field supports. */
+    static constexpr std::size_t kMaxMembers = 255;
+
     RsCode(std::size_t n, std::size_t k);
 
     std::size_t n() const { return n_; }
@@ -63,9 +68,9 @@ class RsCode
 
     /**
      * Process-wide count of RsCode constructions. Building the Cauchy
-     * matrix costs O(n*k) field inversions, so hot loops must reuse a
-     * cached codec (MemorySystem::rsCodec()); regression tests pin
-     * that sweeps construct zero codecs per line.
+     * matrix costs O(n*k) field inversions, so every user shares the
+     * machine's one codec (MemorySystem::rsCodec()); regression tests
+     * pin one construction per machine and none per line.
      */
     static std::uint64_t constructions()
     {
@@ -95,7 +100,9 @@ class RsCode
     void encode(std::uint8_t *const members[]) const;
 
     /**
-     * Recover every missing member from any n survivors.
+     * Recover every missing member from any n survivors. One missing
+     * member takes the XOR (data) or re-encode (parity) path; more
+     * take a Gauss-Jordan solve.
      *
      * @p members   n+k line pointers; present members are read,
      *              missing ones are overwritten with their recovered
@@ -108,6 +115,11 @@ class RsCode
                 const bool present[]) const;
 
   private:
+    /** Overwrite @p parity with parity role @p j of the data
+     *  members in @p members. */
+    void encodeRole(std::uint8_t *parity, std::size_t j,
+                    const std::uint8_t *const members[]) const;
+
     static std::atomic<std::uint64_t> constructions_;
 
     std::size_t n_;

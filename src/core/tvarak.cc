@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "checksum/checksum.hh"
+#include "core/stripe.hh"
 #include "kernels/kernels.hh"
 #include "sim/log.hh"
 
@@ -27,13 +28,15 @@ store64(std::uint8_t *p, std::uint64_t v)
 }  // namespace
 
 TvarakEngine::TvarakEngine(const SimConfig &cfg, const Coverage &coverage,
-                           Layout &layout, NvmArray &nvm, Stats &stats)
+                           Layout &layout, const RsCode &code,
+                           NvmArray &nvm, Stats &stats)
     : cfg_(cfg),
       params_(cfg.tvarak),
       daxClChecksums_(coverage.mappedChecksum == MappedChecksum::DaxCl),
       redundancyCaching_(coverage.redundancyCaching),
       dataDiffs_(coverage.dataDiffs),
       layout_(layout),
+      code_(code),
       nvm_(nvm),
       stats_(stats),
       banks_(cfg.llcBanks),
@@ -51,10 +54,6 @@ TvarakEngine::TvarakEngine(const SimConfig &cfg, const Coverage &coverage,
         diffPartitions_.emplace_back("llc-diff" + std::to_string(b),
                                      llc_sets, params_.diffWays,
                                      banks_);
-    }
-    if (layout_.parityCount() > 1) {
-        rs_ = std::make_unique<RsCode>(layout_.dataCount(),
-                                       layout_.parityCount());
     }
 }
 
@@ -501,14 +500,17 @@ TvarakEngine::updateRedundancy(std::size_t bank, Addr nvmAddr,
         naivePageChecksumUpdate(bank, nvmAddr, newData);
     }
 
-    // Parity update: parity ^= diff preserves the stripe invariant
-    // (parity == XOR of the stripe's data pages at rest) across the
-    // caller's subsequent data write.
+    // Parity update: parity_j ^= coeff(j, i) * diff preserves the
+    // stripe invariant (every parity role encodes the stripe's data
+    // at rest) across the caller's subsequent data write. Role 0's
+    // coefficient is 1 for every member (plain XOR), so the member's
+    // coding index is looked up only for the roles past it.
     if (diff_nonzero) {
-        std::size_t data_idx =
-            rs_ ? layout_.dataMemberIndexOf(nvmAddr) : 0;
+        std::size_t data_idx = 0;
         for (std::size_t role = 0; role < layout_.parityCount();
              role++) {
+            if (role == 1)
+                data_idx = layout_.dataMemberIndexOf(nvmAddr);
             Addr parity_line = layout_.parityLineOf(nvmAddr, role);
             if (degraded && nvm_.lineDegraded(parity_line)) {
                 // Parity died with its DIMM; its whole stripe is
@@ -519,10 +521,7 @@ TvarakEngine::updateRedundancy(std::size_t bank, Addr nvmAddr,
             }
             std::uint8_t pbuf[kLineBytes];
             redLineAccess(bank, parity_line, false, pbuf, false);
-            if (rs_)
-                rs_->updateParity(pbuf, diff, role, data_idx);
-            else
-                xorLine(pbuf, diff);
+            code_.updateParity(pbuf, diff, role, data_idx);
             redLineAccess(bank, parity_line, true, pbuf, false);
         }
     }
@@ -584,93 +583,16 @@ TvarakEngine::recoverLine(Addr nvmAddr, bool verifyChecksum)
 bool
 TvarakEngine::reconstructFromParity(Addr nvmAddr, std::uint8_t *out)
 {
-    Addr line_addr = lineBase(nvmAddr);
-    if (rs_)
-        return reconstructRs(line_addr, out);
-    panic_if(layout_.isParityPage(line_addr),
-             "parity lines are recomputed from members, not from parity");
-    std::vector<Addr> pages;
-    layout_.stripeDataPages(line_addr, pages);
-    std::size_t offset = lineInPage(line_addr) * kLineBytes;
-    // Erasure overflow is known at decode time: single parity needs
-    // every other stripe member, so a second dead member makes the
-    // stripe undecodable. Loud poison, never an XOR of garbage.
-    if (nvm_.anyDegraded()) {
-        bool overflow =
-            nvm_.lineDegraded(layout_.parityLineOf(line_addr));
-        for (Addr page : pages) {
-            if (page != pageBase(line_addr))
-                overflow = overflow ||
-                    nvm_.lineDegraded(page + offset);
-        }
-        if (overflow) {
-            std::memset(out, NvmDimm::kPoisonByte, kLineBytes);
-            return false;
-        }
-    }
-    // The authoritative parity line (which may be dirty in the
-    // redundancy caches) XOR the sibling lines at rest.
-    peekRedLine(layout_.parityLineOf(line_addr), out);
-    for (Addr page : pages) {
-        if (page == pageBase(line_addr))
-            continue;
-        std::uint8_t sib[kLineBytes];
-        nvm_.rawRead(page + offset, sib, kLineBytes);
-        xorLine(out, sib);
-    }
-    return true;
-}
-
-bool
-TvarakEngine::reconstructRs(Addr lineAddr, std::uint8_t *out)
-{
-    const std::size_t n = layout_.dataCount();
-    const std::size_t k = layout_.parityCount();
-    std::size_t offset = lineInPage(lineAddr) * kLineBytes;
-    std::vector<Addr> pages;
-    layout_.stripeDataPages(lineAddr, pages);  // coding-index order
-
-    std::vector<std::array<std::uint8_t, kLineBytes>> bufs(n + k);
-    std::vector<std::uint8_t *> ptrs(n + k);
-    bool present[255];
-    std::size_t target = n + k;
-    // The target itself is always treated as an erasure, even when
-    // its media is readable: recoverLine reconstructs lines whose
-    // *content* is corrupt, and a decode that trusted the target's
-    // bytes would hand them straight back.
-    for (std::size_t i = 0; i < n; i++) {
-        Addr member = pages[i] + offset;
-        ptrs[i] = bufs[i].data();
-        present[i] = member != lineAddr && !nvm_.lineDegraded(member);
-        if (present[i])
-            nvm_.rawRead(member, ptrs[i], kLineBytes);
-        if (member == lineAddr)
-            target = i;
-    }
-    for (std::size_t j = 0; j < k; j++) {
-        Addr member = layout_.parityLineOf(lineAddr, j);
-        ptrs[n + j] = bufs[n + j].data();
-        present[n + j] =
-            member != lineAddr && !nvm_.lineDegraded(member);
-        if (present[n + j]) {
-            // Authoritative parity: may be dirty in the redundancy
-            // caches, so go through the coherent peek.
-            peekRedLine(member, ptrs[n + j]);
-        }
-        if (member == lineAddr)
-            target = n + j;
-    }
-    panic_if(target == n + k, "reconstructRs: %llx not in its stripe",
-             static_cast<unsigned long long>(lineAddr));
-    if (!rs_->decode(ptrs.data(), present)) {
-        // More members dead than parity can absorb: the stripe is
-        // lost. Poison, never stale bytes — downstream checksum
-        // verification turns this into a *detected* loss.
-        std::memset(out, NvmDimm::kPoisonByte, kLineBytes);
-        return false;
-    }
-    std::memcpy(out, ptrs[target], kLineBytes);
-    return true;
+    return recoverStripeLine(
+        layout_, code_, nvm_, lineBase(nvmAddr), out,
+        [&](Addr member, bool parity, std::uint8_t *buf) {
+            // Authoritative parity may be dirty in the redundancy
+            // caches, so it goes through the coherent peek.
+            if (parity)
+                peekRedLine(member, buf);
+            else
+                nvm_.rawRead(member, buf, kLineBytes);
+        });
 }
 
 //

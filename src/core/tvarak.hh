@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -54,8 +53,11 @@ namespace tvarak {
 class TvarakEngine
 {
   public:
+    /** @p code is the machine's stripe code (MemorySystem builds it
+     *  with the layout); the engine keeps a reference. */
     TvarakEngine(const SimConfig &cfg, const Coverage &coverage,
-                 Layout &layout, NvmArray &nvm, Stats &stats);
+                 Layout &layout, const RsCode &code, NvmArray &nvm,
+                 Stats &stats);
 
     /** @name Software management interface (used by DaxFs). */
     /**@{*/
@@ -134,18 +136,13 @@ class TvarakEngine
     /** @name Whole-DIMM failure support */
     /**@{*/
     /**
-     * Reconstruct the at-rest content of line @p nvmAddr from the
-     * authoritative parity line(s) and the at-rest stripe survivors.
-     * With a single parity member this is the RAID-5 degraded read
-     * (XOR of parity and siblings; @p nvmAddr must not be a parity
-     * page). With k >= 2 parity members it is a Reed-Solomon decode
-     * from any n survivors, and parity members can be reconstructed
-     * too. Untimed.
+     * Reconstruct the at-rest content of line @p nvmAddr, a data or a
+     * parity member, from the rest of its stripe row
+     * (recoverStripeLine): data members at rest on media, parity
+     * through the coherent redundancy caches. Under single parity
+     * this is the RAID-5 degraded read. Untimed.
      * @return false iff more members are lost than the code can
-     *         tolerate; @p out is then poison (detectable loss). The
-     *         single-parity path always returns true — under a double
-     *         fault it produces garbage that downstream checksums
-     *         catch, preserving the pre-RS behaviour bit for bit.
+     *         tolerate; @p out is then poison (detectable loss).
      */
     bool reconstructFromParity(Addr nvmAddr, std::uint8_t *out);
     /**
@@ -204,11 +201,6 @@ class TvarakEngine
     /** Home LLC bank of a redundancy line. */
     std::size_t homeBank(Addr raddr) const;
 
-    /** Reed-Solomon joint decode of @p lineAddr's stripe at its line
-     *  offset (k >= 2 only): survivors in, missing members out.
-     *  @return false past the k-failure budget (@p out poisoned). */
-    bool reconstructRs(Addr lineAddr, std::uint8_t *out);
-
     /**
      * Access one redundancy line through the caching hierarchy
      * (on-controller cache -> LLC partition -> NVM), or straight to
@@ -264,6 +256,7 @@ class TvarakEngine
     const bool redundancyCaching_;
     const bool dataDiffs_;
     Layout &layout_;
+    const RsCode &code_;
     NvmArray &nvm_;
     Stats &stats_;
     std::size_t banks_;
@@ -284,9 +277,6 @@ class TvarakEngine
         std::int8_t owner = -1;
     };
     std::unordered_map<Addr, DirEntry> directory_;
-
-    /** The stripe's erasure code; null under single-XOR parity. */
-    std::unique_ptr<RsCode> rs_;
 };
 
 }  // namespace tvarak

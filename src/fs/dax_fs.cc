@@ -414,33 +414,25 @@ DaxFs::pwrite(int tid, int fd, std::size_t offset, const void *buf,
                 std::memcpy(new_line, old_line, kLineBytes);
                 std::memcpy(new_line + lineOffset(vaddr), in + done, n);
 
+                // Every parity role takes the coefficient-weighted
+                // diff. Role 0's coefficient is 1 for every member
+                // (plain XOR), so the coding index is looked up only
+                // for the roles past it.
                 Addr nvm_line =
                     nvm_page + lineInPage(vaddr) * kLineBytes;
                 const Layout &layout = mem_.layout();
-                if (layout.parityCount() == 1) {
+                std::uint8_t diff[kLineBytes];
+                xorLineInto(diff, old_line, new_line);
+                std::size_t di = 0;
+                for (std::size_t j = 0; j < layout.parityCount(); j++) {
+                    if (j == 1)
+                        di = layout.dataMemberIndexOf(nvm_line);
                     Addr parity_v =
-                        nvmDirectVaddr(layout.parityLineOf(nvm_line));
+                        nvmDirectVaddr(layout.parityLineOf(nvm_line, j));
                     std::uint8_t parity[kLineBytes];
                     mem_.read(tid, parity_v, parity, kLineBytes);
-                    xorLine(parity, old_line);
-                    xorLine(parity, new_line);
+                    mem_.rsCodec().updateParity(parity, diff, j, di);
                     mem_.write(tid, parity_v, parity, kLineBytes);
-                } else {
-                    // Reed-Solomon geometry: every parity role takes
-                    // the coefficient-weighted diff.
-                    const RsCode &rs = mem_.rsCodec();
-                    std::size_t di = layout.dataMemberIndexOf(nvm_line);
-                    std::uint8_t diff[kLineBytes];
-                    xorLineInto(diff, old_line, new_line);
-                    for (std::size_t j = 0; j < layout.parityCount();
-                         j++) {
-                        Addr parity_v = nvmDirectVaddr(
-                            layout.parityLineOf(nvm_line, j));
-                        std::uint8_t parity[kLineBytes];
-                        mem_.read(tid, parity_v, parity, kLineBytes);
-                        rs.updateParity(parity, diff, j, di);
-                        mem_.write(tid, parity_v, parity, kLineBytes);
-                    }
                 }
 
                 mem_.write(tid, vaddr, in + done, n);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "checksum/checksum.hh"
+#include "core/stripe.hh"
 #include "redundancy/registry.hh"
 #include "sim/log.hh"
 #include "trace/sink.hh"
@@ -12,12 +12,14 @@ namespace tvarak {
 
 namespace {
 
-/** The design's forced config fields applied to a private copy
- *  before any member reads it. */
+/** The design's forced config fields applied to a private copy,
+ *  validated before any member is built from it (Layout and RsCode
+ *  would panic on a geometry the validator reports). */
 SimConfig
 designAdjusted(SimConfig cfg, const Design &design)
 {
     design.adjustConfig(cfg);
+    cfg.validate();
     return cfg;
 }
 
@@ -29,17 +31,17 @@ MemorySystem::MemorySystem(const SimConfig &cfg, const Design &design)
       stats_(cfg_.cores, cfg_.nvm.dimms),
       layout_(cfg_.nvm.dimms * cfg_.nvm.dimmBytes, cfg_.nvm.dimms,
               cfg_.nvm.parityDimms),
+      code_(layout_.dataCount(), layout_.parityCount()),
       // cfg_ (declared first) is the object's own copy; engine_ keeps
       // a reference to its SimConfig, so it must not see the caller's
       // possibly-temporary argument.
       nvm_(cfg_.nvm, cfg_, stats_),
-      engine_(cfg_, design.coverage(), layout_, nvm_, stats_),
+      engine_(cfg_, design.coverage(), layout_, code_, nvm_, stats_),
       dram_(cfg_.dram.sizeBytes),
       nvmCur_(cfg_.nvm.dimms * cfg_.nvm.dimmBytes),
       curChanged_(nvmCur_.size()),
       dramBrk_(kLineBytes)  // never hand out address 0
 {
-    cfg_.validate();
     // A failure-domain fault takes out dimmsPerDomain DIMMs at once;
     // grouping DIMMs into multi-DIMM domains is only meaningful when
     // the active design can decode through a whole-domain loss.
@@ -82,16 +84,6 @@ DesignKind
 MemorySystem::design() const
 {
     return design_->kind();
-}
-
-const RsCode &
-MemorySystem::rsCodec()
-{
-    if (!rsCodec_) {
-        rsCodec_ = std::make_unique<RsCode>(layout_.dataCount(),
-                                            layout_.parityCount());
-    }
-    return *rsCodec_;
 }
 
 //
@@ -718,132 +710,22 @@ MemorySystem::reconstructLine(Addr nvmAddr, std::uint8_t *out, bool charge)
         std::memset(out, 0, kLineBytes);
         return true;
     }
-    if (layout_.parityCount() > 1)
-        return reconstructLineRs(line, out, charge);
-    Addr off = pageOffset(line);
-    std::vector<Addr> pages;
-    layout_.stripeDataPages(line, pages);
+    // Whichever world maintains the stripe's parity supplies the
+    // surviving members: the engine's at-rest world (data from media,
+    // parity through its coherent caches) or current values.
     bool engine_world = stripeIsEngineWorld(line);
-    if (layout_.isParityPage(line)) {
-        // A parity member is the XOR of its stripe's data members, in
-        // whichever world maintains this stripe's parity. A second
-        // dead member makes the recompute undecodable: known erasure
-        // overflow, loud poison.
-        if (nvm_.anyDegraded()) {
-            for (Addr page : pages) {
-                if (nvm_.lineDegraded(page + off)) {
-                    std::memset(out, NvmDimm::kPoisonByte, kLineBytes);
-                    return false;
-                }
-            }
-        }
-        std::memset(out, 0, kLineBytes);
-        for (Addr page : pages) {
-            std::uint8_t sib[kLineBytes];
-            if (engine_world)
-                nvm_.rawRead(page + off, sib, kLineBytes);
+    return recoverStripeLine(
+        layout_, code_, nvm_, line, out,
+        [&](Addr member, bool parity, std::uint8_t *buf) {
+            if (!engine_world)
+                memberLine(member, buf, false);
+            else if (parity)
+                engine_.peekRedLine(member, buf);
             else
-                memberLine(page + off, sib, false);
+                nvm_.rawRead(member, buf, kLineBytes);
             if (charge)
-                nvm_.charge(page + off, false, false);
-            xorLine(out, sib);
-        }
-        return true;
-    }
-    Addr parity_line = layout_.parityLineOf(line);
-    if (engine_world) {
-        // At-rest world: the engine reads parity through its coherent
-        // caches and the siblings from raw media (it poisons on
-        // erasure overflow).
-        bool ok = engine_.reconstructFromParity(line, out);
-        if (charge) {
-            nvm_.charge(parity_line, false, true);
-            for (Addr page : pages) {
-                if (page != pageBase(line))
-                    nvm_.charge(page + off, false, false);
-            }
-        }
-        return ok;
-    }
-    // Software world: single parity needs every other member alive.
-    if (nvm_.anyDegraded()) {
-        bool overflow = nvm_.lineDegraded(parity_line);
-        for (Addr page : pages) {
-            if (page != pageBase(line))
-                overflow = overflow || nvm_.lineDegraded(page + off);
-        }
-        if (overflow) {
-            std::memset(out, NvmDimm::kPoisonByte, kLineBytes);
-            return false;
-        }
-    }
-    readCurrent(parity_line, out, kLineBytes);
-    if (charge)
-        nvm_.charge(parity_line, false, true);
-    for (Addr page : pages) {
-        if (page == pageBase(line))
-            continue;
-        std::uint8_t sib[kLineBytes];
-        memberLine(page + off, sib, charge);
-        xorLine(out, sib);
-    }
-    return true;
-}
-
-bool
-MemorySystem::reconstructLineRs(Addr line, std::uint8_t *out, bool charge)
-{
-    const std::size_t n = layout_.dataCount();
-    const std::size_t k = layout_.parityCount();
-    Addr off = pageOffset(line);
-    std::vector<Addr> pages;
-    layout_.stripeDataPages(line, pages);  // coding-index order
-    bool engine_world = stripeIsEngineWorld(line);
-
-    std::vector<std::array<std::uint8_t, kLineBytes>> bufs(n + k);
-    std::vector<std::uint8_t *> ptrs(n + k);
-    std::vector<Addr> addrs(n + k);
-    bool present[255];
-    for (std::size_t i = 0; i < n; i++)
-        addrs[i] = pages[i] + off;
-    for (std::size_t j = 0; j < k; j++)
-        addrs[n + j] = layout_.parityLineOf(line, j);
-
-    std::size_t target = n + k;
-    for (std::size_t m = 0; m < n + k; m++) {
-        ptrs[m] = bufs[m].data();
-        // The target is always an erasure, even when its media is
-        // readable: trusting its bytes would return them unchanged.
-        present[m] =
-            addrs[m] != line && !nvm_.lineDegraded(addrs[m]);
-        if (addrs[m] == line)
-            target = m;
-        if (!present[m])
-            continue;
-        if (!engine_world) {
-            // Software-maintained stripes update parity synchronously
-            // with the data write, i.e. in current values.
-            memberLine(addrs[m], ptrs[m], false);
-        } else if (m >= n) {
-            // Authoritative parity may be dirty in the engine caches.
-            engine_.peekRedLine(addrs[m], ptrs[m]);
-        } else {
-            nvm_.rawRead(addrs[m], ptrs[m], kLineBytes);
-        }
-        if (charge)
-            nvm_.charge(addrs[m], false, m >= n);
-    }
-    panic_if(target == n + k, "reconstructLineRs: %llx not in stripe",
-             static_cast<unsigned long long>(line));
-
-    if (!rsCodec().decode(ptrs.data(), present)) {
-        // More members lost than the code tolerates: loud poison so
-        // every downstream checksum consumer sees a *detected* loss.
-        std::memset(out, NvmDimm::kPoisonByte, kLineBytes);
-        return false;
-    }
-    std::memcpy(out, ptrs[target], kLineBytes);
-    return true;
+                nvm_.charge(member, false, parity);
+        });
 }
 
 Cycles

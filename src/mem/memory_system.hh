@@ -123,16 +123,19 @@ class MemorySystem
     void replaceDimm(std::size_t dimm);
     /**
      * Best-effort reconstruction of @p nvmAddr's content without its
-     * home DIMM. Data lines come from parity + stripe siblings (the
-     * TVARAK engine's at-rest world for registered pages, the
-     * current-value world otherwise); parity lines are recomputed from
-     * their stripe members; metadata is not parity protected and comes
-     * back as poison.
+     * home DIMM. Data and parity lines are decoded from the rest of
+     * their stripe row (recoverStripeLine), read in whichever world
+     * maintains the stripe's parity: the TVARAK engine's at-rest
+     * world for stripes with a registered page, current values
+     * otherwise. Metadata is not parity protected and comes back as
+     * poison.
      *
-     * @param charge  account the surviving-DIMM reads (energy,
+     * @param charge  account each surviving member read (energy,
      *                occupancy) — true on architectural paths, false
      *                for untimed maintenance.
-     * @return false iff the content is unrecoverable (metadata).
+     * @return false iff the content is unrecoverable (metadata, or
+     *         more stripe members lost than the code tolerates; then
+     *         @p out is poison).
      */
     bool reconstructLine(Addr nvmAddr, std::uint8_t *out, bool charge);
     /**
@@ -189,12 +192,12 @@ class MemorySystem
     std::size_t llcDataWays() const { return llcDataWays_; }
 
     /**
-     * The cached Reed-Solomon codec for this layout's n+k geometry
-     * (parityCount >= 2 layouts only). Built once on first use;
-     * degraded reads, rebuild sweeps, and the software schemes all
-     * share it instead of re-deriving the Cauchy matrix per line.
+     * The machine's stripe code: RsCode(n, k) for the layout's n data
+     * and k parity members, built with the layout. Single parity is
+     * RsCode(n, 1), the RAID-5 XOR. The engine, degraded reads,
+     * rebuild sweeps, DaxFs and the software schemes all share it.
      */
-    const RsCode &rsCodec();
+    const RsCode &rsCodec() const { return code_; }
 
     /** @name Access-trace recording (src/trace/)
      *  The sink observes the timed API; when unset (the default) the
@@ -269,12 +272,6 @@ class MemorySystem
      *  dead DIMM. @return demand-path cycles. */
     Cycles degradedFill(std::size_t bank, Addr g, std::uint8_t *media);
 
-    /** Reed-Solomon joint decode of @p line's stripe (parityCount >=
-     *  2): any n surviving members recover the rest, in whichever
-     *  world maintains the stripe's parity. @return false past the
-     *  k-failure budget (@p out poisoned). */
-    bool reconstructLineRs(Addr line, std::uint8_t *out, bool charge);
-
     /** The controller keeps @p nvmAddr's redundancy in the at-rest
      *  (media) world: the design's controller keeps the parity and
      *  the line is DAX-mapped. */
@@ -307,6 +304,7 @@ class MemorySystem
     std::unique_ptr<MemController> ctrl_;  //!< design's LLC/NVM hook
     Stats stats_;
     Layout layout_;
+    RsCode code_;  //!< the stripe code; the engine holds a reference
     NvmArray nvm_;
     TvarakEngine engine_;
 
@@ -348,7 +346,6 @@ class MemorySystem
      */
     std::unique_ptr<LineBitmap> lost_;
     std::vector<Addr> daxPageTable_;    //!< vpage -> NVM page | kUnmapped
-    std::unique_ptr<RsCode> rsCodec_;   //!< lazily built geometry codec
     Addr dramBrk_;
     std::vector<std::uint64_t> lastMissLine_;  //!< per-core stride state
     trace::TraceSink *traceSink_ = nullptr;    //!< access-trace recorder

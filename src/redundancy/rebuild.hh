@@ -7,12 +7,11 @@
  * every line to the content it must hold, while the workload keeps
  * running against the array:
  *
- *  - data-region lines are reconstructed from cross-DIMM parity +
- *    surviving stripe members (MemorySystem::reconstructLine, which
- *    picks the right redundancy world per line and, for Reed-Solomon
- *    geometries, jointly decodes around every concurrently-dead
+ *  - data-region lines, data and parity alike, are decoded from the
+ *    surviving members of their stripe row
+ *    (MemorySystem::reconstructLine, which picks the right redundancy
+ *    world per line and decodes around every concurrently-dead
  *    member);
- *  - parity lines are recomputed from their stripe's data members;
  *  - checksum metadata is *not* parity protected and is recomputed
  *    from the (degraded-aware) data it covers: DAX-CL-checksum slots
  *    of registered pages get the line checksum, page-checksum slots of

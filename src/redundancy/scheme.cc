@@ -1,12 +1,11 @@
 #include "redundancy/scheme.hh"
 
 #include <algorithm>
-#include <array>
+#include <cstring>
 #include <unordered_set>
 
 #include "checksum/checksum.hh"
 #include "checksum/gf256.hh"
-#include "kernels/kernels.hh"
 #include "sim/log.hh"
 
 namespace tvarak {
@@ -23,55 +22,36 @@ RedundancyScheme::recomputeParityLine(int tid, Addr vline)
 
     // parity = code over the stripe's data lines at this page offset;
     // updating in place forfeits diff-based updates (paper Section IV),
-    // so the siblings must be read.
-    std::vector<Addr> pages;
-    layout.stripeDataPages(g, pages);
-    std::size_t offset = lineInPage(g) * kLineBytes;
-    if (layout.parityCount() == 1) {
-        std::uint8_t acc[kLineBytes];
-        mem_.read(tid, lineBase(vline), acc, kLineBytes);
-        for (Addr page : pages) {
-            if (page == pageBase(g))
-                continue;
-            std::uint8_t sib[kLineBytes];
-            mem_.read(tid, nvmDirectVaddr(page + offset), sib,
-                      kLineBytes);
-            xorLine(acc, sib);
-        }
-        mem_.write(tid, nvmDirectVaddr(layout.parityLineOf(g)), acc,
-                   kLineBytes);
-        return;
-    }
-    // Reed-Solomon geometries: a fused kernel sequence per data member
-    // feeds every parity role its coefficient-weighted contribution in
-    // one pass over the sibling line. The codec itself is the memory
-    // system's cached one — never rebuilt per line.
+    // so the siblings must be read: the committed line first, then the
+    // others in stripe order. Each member adds its coefficient-weighted
+    // contribution to every parity role.
     const RsCode &rs = mem_.rsCodec();
-    std::vector<std::array<std::uint8_t, kLineBytes>> par(
-        layout.parityCount());
-    for (auto &p : par)
-        p.fill(0);
+    std::vector<Addr> pages;
+    layout.stripeDataPages(g, pages);  // coding-index order
+    std::size_t self = static_cast<std::size_t>(
+        std::find(pages.begin(), pages.end(), pageBase(g)) -
+        pages.begin());
+    panic_if(self == pages.size(), "parity recompute on a parity line");
+    std::size_t offset = lineInPage(g) * kLineBytes;
+    std::uint8_t par[RsCode::kMaxMembers][kLineBytes];
+    std::memset(par, 0, rs.k() * kLineBytes);
+    auto accumulate = [&](std::size_t i, const std::uint8_t *member) {
+        for (std::size_t j = 0; j < rs.k(); j++)
+            rs.updateParity(par[j], member, j, i);
+    };
+    std::uint8_t line[kLineBytes];
+    mem_.read(tid, lineBase(vline), line, kLineBytes);
+    accumulate(self, line);
     for (std::size_t i = 0; i < pages.size(); i++) {
-        std::uint8_t sib[kLineBytes];
-        if (pages[i] == pageBase(g))
-            mem_.read(tid, lineBase(vline), sib, kLineBytes);
-        else
-            mem_.read(tid, nvmDirectVaddr(pages[i] + offset), sib,
-                      kLineBytes);
-        for (std::size_t j0 = 0; j0 < layout.parityCount();
-             j0 += kernels::kSeqMaxRoles) {
-            std::size_t jn = std::min(
-                layout.parityCount(), j0 + kernels::kSeqMaxRoles);
-            kernels::KernelSequence seq;
-            seq.source(sib);
-            for (std::size_t j = j0; j < jn; j++)
-                seq.parityGfMac(par[j].data(), rs.coeff(j, i));
-            seq.run();
-        }
+        if (i == self)
+            continue;
+        mem_.read(tid, nvmDirectVaddr(pages[i] + offset), line,
+                  kLineBytes);
+        accumulate(i, line);
     }
-    for (std::size_t j = 0; j < layout.parityCount(); j++) {
+    for (std::size_t j = 0; j < rs.k(); j++) {
         mem_.write(tid, nvmDirectVaddr(layout.parityLineOf(g, j)),
-                   par[j].data(), kLineBytes);
+                   par[j], kLineBytes);
     }
 }
 

@@ -64,9 +64,10 @@ class RedundancyScheme
     explicit RedundancyScheme(MemorySystem &mem) : mem_(mem) {}
 
     /**
-     * Recompute and write the parity line covering the data line that
-     * backs @p vline: reads the stripe's sibling lines and the dirty
-     * line itself through the caches, XORs, writes the parity line.
+     * Recompute and write the parity lines covering the data line that
+     * backs @p vline: reads the dirty line itself and then the
+     * stripe's sibling lines through the caches, encodes every parity
+     * role with the machine's stripe code, writes the parity lines.
      */
     void recomputeParityLine(int tid, Addr vline);
 

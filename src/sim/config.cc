@@ -33,11 +33,14 @@ SimConfig::validate() const
              tvarak.redundancyWays, tvarak.diffWays, llcBank.ways);
     fatal_if(tvarak.cacheBytes % kLineBytes != 0,
              "on-controller cache must hold whole lines");
-    fatal_if(nvm.dimms < 2, "striped parity needs at least 2 NVM DIMMs");
-    fatal_if(nvm.parityDimms < 1 || nvm.parityDimms >= nvm.dimms,
-             "parity count %zu needs at least %zu NVM DIMMs (n+k with "
-             "n >= 1)",
-             nvm.parityDimms, nvm.parityDimms + 1);
+    // The stripe code needs n >= 2 data members: with one, parity
+    // would be a plain copy, which RsCode rejects.
+    fatal_if(nvm.parityDimms < 1, "need at least one parity DIMM");
+    fatal_if(nvm.dimms < nvm.parityDimms + 2,
+             "striped parity needs at least 2 data DIMMs per stripe "
+             "(nvm.dimms - nvm.parityDimms >= 2), got %zu DIMMs with "
+             "%zu parity",
+             nvm.dimms, nvm.parityDimms);
     fatal_if(nvm.dimmsPerDomain == 0 ||
              nvm.dimms % nvm.dimmsPerDomain != 0,
              "%zu DIMMs do not split into domains of %zu",

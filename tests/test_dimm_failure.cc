@@ -126,7 +126,7 @@ TEST(DimmFailure, TvarakSurvivesAndRebuildsBitExact)
     std::uint64_t ctors = RsCode::constructions();
     rebuild->runToCompletion();
     EXPECT_EQ(RsCode::constructions(), ctors)
-        << "the rebuild sweep must reuse the cached geometry codec "
+        << "the rebuild sweep must reuse the machine's stripe code "
            "(zero RsCode constructions per swept line)";
     EXPECT_EQ(faulty.mem.nvmArray().dimmState(target),
               NvmArray::DimmState::Healthy);
@@ -214,7 +214,7 @@ TEST(DimmFailure, RsSecondFailureMidRebuildBitExact)
     std::uint64_t ctors = RsCode::constructions();
     rebuild->runToCompletion();
     EXPECT_EQ(RsCode::constructions(), ctors)
-        << "the rebuild sweep must reuse the cached geometry codec "
+        << "the rebuild sweep must reuse the machine's stripe code "
            "(zero RsCode constructions per swept line)";
     EXPECT_EQ(nvm.dimmState(a), NvmArray::DimmState::Healthy);
     EXPECT_EQ(nvm.dimmState(b), NvmArray::DimmState::Healthy);
@@ -314,6 +314,116 @@ filePattern(std::size_t bytes)
     for (std::size_t i = 0; i < bytes; i++)
         out[i] = static_cast<std::uint8_t>(i * 7 + 3);
     return out;
+}
+
+TEST(DimmFailure, OverBudgetSingleParityChargesLiveMembersOnly)
+{
+    // Two dead DIMMs under single parity: the stripe is past its
+    // erasure budget. Reconstruction poisons, returns false, and reads
+    // (so charges) exactly the stripe members on live DIMMs, in the
+    // controller's at-rest world (tvarak) and in the software world
+    // (txb-page-csums) alike.
+    for (const char *name : {"tvarak", "txb-page-csums"}) {
+        SCOPED_TRACE(name);
+        const Design *d = findDesign(name);
+        ASSERT_NE(d, nullptr);
+        MemorySystem mem(test::smallConfig(), *d);
+        DaxFs fs(mem);
+        int fd = fs.create("f", kFilePages * kPageBytes);
+        Addr base = fs.daxMap(fd);
+        const std::vector<std::uint8_t> want =
+            filePattern(kFilePages * kPageBytes);
+        mem.write(0, base, want.data(), want.size());
+        mem.flushAll();
+
+        const Layout &layout = mem.layout();
+        NvmArray &nvm = mem.nvmArray();
+        Addr g = fs.filePage(fd, 0) + kLineBytes;
+        std::vector<Addr> pages;
+        layout.stripeDataPages(g, pages);
+        pages.push_back(layout.parityPageOf(g));
+        std::size_t a = nvm.dimmOf(g);
+        std::size_t b = nvm.dimmOf(pages[0] == pageBase(g) ? pages[1]
+                                                           : pages[0]);
+        mem.failDimm(a);
+        mem.failDimm(b);
+
+        std::uint64_t data_reads = mem.stats().nvmDataReads;
+        std::uint64_t red_reads = mem.stats().nvmRedundancyReads;
+        std::vector<bool> live_member(nvm.numDimms(), false);
+        for (Addr page : pages) {
+            std::size_t dimm = nvm.dimmOf(page);
+            if (dimm == a || dimm == b)
+                continue;
+            live_member[dimm] = true;
+            if (layout.isParityPage(page))
+                red_reads++;
+            else
+                data_reads++;
+        }
+        const std::vector<Cycles> busy = mem.stats().dimmBusyCycles;
+
+        std::uint8_t got[kLineBytes];
+        std::uint8_t poison[kLineBytes];
+        std::memset(poison, NvmDimm::kPoisonByte, kLineBytes);
+        EXPECT_FALSE(mem.reconstructLine(g, got, true));
+        EXPECT_EQ(std::memcmp(got, poison, kLineBytes), 0);
+        EXPECT_EQ(mem.stats().nvmDataReads, data_reads);
+        EXPECT_EQ(mem.stats().nvmRedundancyReads, red_reads);
+        for (std::size_t dimm = 0; dimm < nvm.numDimms(); dimm++) {
+            EXPECT_EQ(mem.stats().dimmBusyCycles[dimm] > busy[dimm],
+                      live_member[dimm])
+                << "DIMM " << dimm;
+        }
+    }
+}
+
+TEST(DimmFailure, SingleParityEngineRecoversParityLine)
+{
+    // RAID-5 is RsCode(n, 1): a parity member decodes like any other,
+    // by re-encoding it from the data members at rest, live or dead.
+    MemorySystem mem(test::smallConfig(), DesignKind::Tvarak);
+    DaxFs fs(mem);
+    int fd = fs.create("f", kFilePages * kPageBytes);
+    Addr base = fs.daxMap(fd);
+    const std::vector<std::uint8_t> want =
+        filePattern(kFilePages * kPageBytes);
+    mem.write(0, base, want.data(), want.size());
+    mem.flushAll();
+
+    Addr parity = mem.layout().parityLineOf(fs.filePage(fd, 0));
+    std::uint8_t expect[kLineBytes];
+    std::uint8_t got[kLineBytes];
+    std::uint8_t zero[kLineBytes] = {};
+    mem.tvarak().peekRedLine(parity, expect);
+    ASSERT_NE(std::memcmp(expect, zero, kLineBytes), 0);
+    ASSERT_TRUE(mem.tvarak().reconstructFromParity(parity, got));
+    EXPECT_EQ(std::memcmp(got, expect, kLineBytes), 0);
+
+    mem.failDimm(mem.nvmArray().dimmOf(parity));
+    ASSERT_TRUE(mem.tvarak().reconstructFromParity(parity, got));
+    EXPECT_EQ(std::memcmp(got, expect, kLineBytes), 0);
+}
+
+TEST(DimmFailure, OneStripeCodePerMachine)
+{
+    // The machine builds its one codec with its layout; the DAX file
+    // system (superblock parity, unmapped writes) shares it.
+    for (const char *name : {"tvarak", "tvarak-rs4+2"}) {
+        SCOPED_TRACE(name);
+        const Design *d = findDesign(name);
+        ASSERT_NE(d, nullptr);
+        std::uint64_t before = RsCode::constructions();
+        MemorySystem mem(test::smallConfig(), *d);
+        EXPECT_EQ(RsCode::constructions(), before + 1);
+        DaxFs fs(mem);
+        int fd = fs.create("f", kFilePages * kPageBytes);
+        const std::vector<std::uint8_t> data =
+            filePattern(kFilePages * kPageBytes);
+        fs.pwrite(0, fd, 0, data.data(), data.size());
+        EXPECT_EQ(RsCode::constructions(), before + 1)
+            << "DaxFs create and write build no codec of their own";
+    }
 }
 
 TEST(DimmFailure, UncachedLinesReadAsPoisonUntilRederived)

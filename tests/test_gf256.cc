@@ -187,6 +187,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_pair<std::size_t, std::size_t>(4, 2),
                       std::make_pair<std::size_t, std::size_t>(6, 2),
                       std::make_pair<std::size_t, std::size_t>(3, 1),
+                      std::make_pair<std::size_t, std::size_t>(7, 1),
                       std::make_pair<std::size_t, std::size_t>(8, 3)));
 
 }  // namespace

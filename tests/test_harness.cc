@@ -181,6 +181,31 @@ TEST(Config, ValidateCatchesBadGeometry)
     cfg = test::smallConfig();
     cfg.nvm.dimms = 1;  // cross-DIMM parity impossible
     EXPECT_DEATH(cfg.validate(), "striped parity");
+
+    // One data member per stripe: parity would be a plain copy, and
+    // the stripe code needs n >= 2.
+    cfg = test::smallConfig();
+    cfg.nvm.dimms = 2;
+    EXPECT_DEATH(cfg.validate(), "dimms - nvm.parityDimms >= 2");
+    cfg = test::smallConfig();
+    cfg.nvm.dimms = 3;
+    cfg.nvm.parityDimms = 2;
+    EXPECT_DEATH(cfg.validate(), "dimms - nvm.parityDimms >= 2");
+}
+
+TEST(Config, MemorySystemRejectsBadGeometryBeforeBuildingIt)
+{
+    // The config is validated before the layout and the stripe code
+    // are built from it: a bad geometry is a fatal diagnostic (exit
+    // 1), not a panic from a member's constructor.
+    SimConfig cfg = test::smallConfig();
+    cfg.nvm.dimms = 2;
+    EXPECT_EXIT(MemorySystem(cfg, DesignKind::Tvarak),
+                ::testing::ExitedWithCode(1),
+                "fatal: striped parity needs at least 2 data DIMMs");
+    cfg.nvm.dimms = 1;
+    EXPECT_EXIT(MemorySystem(cfg, DesignKind::Baseline),
+                ::testing::ExitedWithCode(1), "fatal: striped parity");
 }
 
 TEST(Config, DesignNamesAreStable)
