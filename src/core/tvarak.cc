@@ -66,6 +66,13 @@ TvarakEngine::dedicatedBytesPerController() const
     return params_.cacheBytes;
 }
 
+double
+TvarakEngine::dedicatedAreaShare() const
+{
+    return static_cast<double>(dedicatedBytesPerController()) /
+        static_cast<double>(cfg_.llcBank.sizeBytes);
+}
+
 void
 TvarakEngine::registerDaxPage(Addr nvmPage)
 {
@@ -340,8 +347,6 @@ TvarakEngine::verifyFill(std::size_t bank, Addr nvmAddr,
     stats_.corruptionsDetected++;
     auto corrected = recoverLine(nvmAddr);
     std::memcpy(lineData, corrected.data(), kLineBytes);
-    if (onRecovery)
-        onRecovery(nvmAddr);
 }
 
 std::uint64_t

@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -191,11 +190,10 @@ class TvarakEngine
      *  untimed; used by scrub/verification utilities. */
     void peekRedLine(Addr raddr, std::uint8_t *out);
 
-    /** Hook invoked after a successful line recovery. */
-    std::function<void(Addr nvmAddr)> onRecovery;
-
     /** Dedicated SRAM bytes per controller (area accounting). */
     std::size_t dedicatedBytesPerController() const;
+    /** Those bytes as a share of the controller's LLC bank. */
+    double dedicatedAreaShare() const;
 
   private:
     /** Home LLC bank of a redundancy line. */

@@ -13,26 +13,25 @@ SimConfig::validate() const
 {
     fatal_if(cores == 0, "need at least one core");
     fatal_if(llcBanks == 0, "need at least one LLC bank");
-    auto check_cache = [](const char *name, const CacheParams &p) {
-        fatal_if(p.sizeBytes == 0 || p.ways == 0,
-                 "%s: zero size or ways", name);
-        fatal_if(p.sizeBytes % (p.ways * kLineBytes) != 0,
+    auto check_cache = [](const char *name, std::size_t bytes,
+                          std::size_t ways) {
+        fatal_if(bytes == 0 || ways == 0, "%s: zero size or ways", name);
+        fatal_if(bytes % (ways * kLineBytes) != 0,
                  "%s: size %zu not divisible into %zu ways of 64B lines",
-                 name, p.sizeBytes, p.ways);
-        std::size_t sets = p.sizeBytes / (p.ways * kLineBytes);
+                 name, bytes, ways);
+        std::size_t sets = bytes / (ways * kLineBytes);
         fatal_if((sets & (sets - 1)) != 0,
                  "%s: set count %zu not a power of two", name, sets);
     };
-    check_cache("L1", l1);
-    check_cache("L2", l2);
-    check_cache("LLC bank", llcBank);
+    check_cache("L1", l1.sizeBytes, l1.ways);
+    check_cache("L2", l2.sizeBytes, l2.ways);
+    check_cache("LLC bank", llcBank.sizeBytes, llcBank.ways);
+    check_cache("on-controller cache", tvarak.cacheBytes, tvarak.cacheWays);
 
     fatal_if(tvarak.redundancyWays + tvarak.diffWays >= llcBank.ways,
              "TVARAK partitions (%zu red + %zu diff) leave no data ways "
              "out of %zu",
              tvarak.redundancyWays, tvarak.diffWays, llcBank.ways);
-    fatal_if(tvarak.cacheBytes % kLineBytes != 0,
-             "on-controller cache must hold whole lines");
     // The stripe code needs n >= 2 data members: with one, parity
     // would be a plain copy, which RsCode rejects.
     fatal_if(nvm.parityDimms < 1, "need at least one parity DIMM");

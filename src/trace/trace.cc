@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <type_traits>
 #include <utility>
 
 #include "redundancy/registry.hh"
@@ -28,12 +29,6 @@ putU64(std::vector<std::uint8_t> &buf, std::uint64_t v)
         buf.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
 }
 
-void
-putF64(std::vector<std::uint8_t> &buf, double v)
-{
-    putU64(buf, std::bit_cast<std::uint64_t>(v));
-}
-
 bool
 getU32(const std::uint8_t *&p, const std::uint8_t *end, std::uint32_t &v)
 {
@@ -56,40 +51,32 @@ getU64(const std::uint8_t *&p, const std::uint8_t *end, std::uint64_t &v)
     return true;
 }
 
+/** One config knob as a 64-bit word: an integer as itself, a double
+ *  as its bit pattern. */
+template <typename T>
+void
+putKnob(std::vector<std::uint8_t> &buf, T v)
+{
+    if constexpr (std::is_floating_point_v<T>)
+        putU64(buf, std::bit_cast<std::uint64_t>(v));
+    else
+        putU64(buf, v);
+}
+
+template <typename T>
 bool
-getF64(const std::uint8_t *&p, const std::uint8_t *end, double &v)
+getKnob(const std::uint8_t *&p, const std::uint8_t *end, T &v)
 {
     std::uint64_t raw = 0;
     if (!getU64(p, end, raw))
         return false;
-    v = std::bit_cast<double>(raw);
+    if constexpr (std::is_floating_point_v<T>)
+        v = std::bit_cast<T>(raw);
+    else
+        v = static_cast<T>(raw);
     return true;
 }
 /**@}*/
-
-void
-putCacheParams(std::vector<std::uint8_t> &buf, const CacheParams &c)
-{
-    putU64(buf, c.sizeBytes);
-    putU64(buf, c.ways);
-    putU64(buf, c.latency);
-    putF64(buf, c.hitEnergy);
-    putF64(buf, c.missEnergy);
-}
-
-bool
-getCacheParams(const std::uint8_t *&p, const std::uint8_t *end,
-               CacheParams &c)
-{
-    std::uint64_t size = 0;
-    std::uint64_t ways = 0;
-    bool ok = getU64(p, end, size) && getU64(p, end, ways) &&
-        getU64(p, end, c.latency) && getF64(p, end, c.hitEnergy) &&
-        getF64(p, end, c.missEnergy);
-    c.sizeBytes = size;
-    c.ways = ways;
-    return ok;
-}
 
 }  // namespace
 
@@ -229,58 +216,48 @@ validateRecords(const TraceData &trace, std::string &err)
     return true;
 }
 
+namespace {
+
 /**
- * Config slots of retired fields keep their v1 positions and hold a
- * constant: the slot after rangeMatchLatency held syncVerification
- * (fill verification now always overlaps data delivery), and the
- * three after diffWays held useDaxClChecksums, useRedundancyCaching
- * and useDataDiffs (the Fig 9 ladder now belongs to the design). The
- * writer emits the constants; the reader rejects any other value.
+ * The config blob is every knob as one word, in forEachKnob() order,
+ * with two exceptions that keep v1 traces valid:
+ *  - four retired slots hold constants at their v1 word positions.
+ *    Word 35 held blocking fill verification (now always overlapped,
+ *    0), words 39..41 the three Fig 9 ladder switches (now the
+ *    design's, 1). The writer emits the constants; the reader rejects
+ *    any other value;
+ *  - the n+k geometry is an optional two-word tail, written only when
+ *    it is not the default, so traces of single-parity arrays stay
+ *    byte-identical to the frozen format and old traces decode with
+ *    the defaults.
  */
-constexpr std::uint64_t kReservedVerifySlot = 0;
-constexpr std::uint64_t kReservedLadderSlot = 1;
-constexpr int kLadderSlots = 3;
+struct RetiredSlot {
+    std::size_t word;
+    std::uint64_t value;
+};
+constexpr RetiredSlot kRetiredSlots[] = {{35, 0}, {39, 1}, {40, 1}, {41, 1}};
+
+/** Is @p knob one of the two words of the optional n+k tail? */
+bool
+inTail(const SimConfig &cfg, const void *knob)
+{
+    return knob == &cfg.nvm.parityDimms || knob == &cfg.nvm.dimmsPerDomain;
+}
+
+}  // namespace
 
 std::vector<std::uint8_t>
 serializeConfig(const SimConfig &cfg)
 {
     std::vector<std::uint8_t> buf;
-    putU64(buf, cfg.cores);
-    putF64(buf, cfg.coreGhz);
-    putCacheParams(buf, cfg.l1);
-    putCacheParams(buf, cfg.l2);
-    putCacheParams(buf, cfg.llcBank);
-    putU64(buf, cfg.llcBanks);
-    putU64(buf, cfg.dram.sizeBytes);
-    putF64(buf, cfg.dram.accessNs);
-    putF64(buf, cfg.dram.accessEnergy);
-    putU64(buf, cfg.nvm.dimms);
-    putU64(buf, cfg.nvm.dimmBytes);
-    putF64(buf, cfg.nvm.readNs);
-    putF64(buf, cfg.nvm.writeNs);
-    putF64(buf, cfg.nvm.readEnergy);
-    putF64(buf, cfg.nvm.writeEnergy);
-    putF64(buf, cfg.nvm.occupancyReadFactor);
-    putF64(buf, cfg.nvm.occupancyWriteFactor);
-    putU64(buf, cfg.tvarak.cacheBytes);
-    putU64(buf, cfg.tvarak.cacheWays);
-    putU64(buf, cfg.tvarak.cacheLatency);
-    putF64(buf, cfg.tvarak.cacheHitEnergy);
-    putF64(buf, cfg.tvarak.cacheMissEnergy);
-    putU64(buf, cfg.tvarak.rangeMatchLatency);
-    putU64(buf, kReservedVerifySlot);
-    putU64(buf, cfg.tvarak.computeLatency);
-    putU64(buf, cfg.tvarak.redundancyWays);
-    putU64(buf, cfg.tvarak.diffWays);
-    for (int i = 0; i < kLadderSlots; i++)
-        putU64(buf, kReservedLadderSlot);
-    putU64(buf, cfg.storeIssueCycles);
-    putF64(buf, cfg.storeMissLatencyFactor);
-    putU64(buf, cfg.prefetchDegree);
-    putF64(buf, cfg.swChecksumBytesPerCycle);
-    // Optional tail, present only when non-default: traces of the
-    // classic single-parity arrays stay byte-identical to the frozen
-    // format (and old traces deserialize with the defaults).
+    forEachKnob(cfg, [&](const ConfigKnob &, const auto &v) {
+        if (inTail(cfg, &v))
+            return;
+        for (const RetiredSlot &s : kRetiredSlots)
+            if (buf.size() == s.word * 8)
+                putU64(buf, s.value);
+        putKnob(buf, v);
+    });
     if (cfg.nvm.parityDimms != 1 || cfg.nvm.dimmsPerDomain != 1) {
         putU64(buf, cfg.nvm.parityDimms);
         putU64(buf, cfg.nvm.dimmsPerDomain);
@@ -293,59 +270,22 @@ deserializeConfig(const std::vector<std::uint8_t> &blob, SimConfig &cfg)
 {
     const std::uint8_t *p = blob.data();
     const std::uint8_t *end = p + blob.size();
-    std::uint64_t u = 0;
-    bool ok = getU64(p, end, u);
-    cfg.cores = u;
-    ok = ok && getF64(p, end, cfg.coreGhz);
-    ok = ok && getCacheParams(p, end, cfg.l1);
-    ok = ok && getCacheParams(p, end, cfg.l2);
-    ok = ok && getCacheParams(p, end, cfg.llcBank);
-    ok = ok && getU64(p, end, u);
-    cfg.llcBanks = u;
-    ok = ok && getU64(p, end, u);
-    cfg.dram.sizeBytes = u;
-    ok = ok && getF64(p, end, cfg.dram.accessNs);
-    ok = ok && getF64(p, end, cfg.dram.accessEnergy);
-    ok = ok && getU64(p, end, u);
-    cfg.nvm.dimms = u;
-    ok = ok && getU64(p, end, u);
-    cfg.nvm.dimmBytes = u;
-    ok = ok && getF64(p, end, cfg.nvm.readNs);
-    ok = ok && getF64(p, end, cfg.nvm.writeNs);
-    ok = ok && getF64(p, end, cfg.nvm.readEnergy);
-    ok = ok && getF64(p, end, cfg.nvm.writeEnergy);
-    ok = ok && getF64(p, end, cfg.nvm.occupancyReadFactor);
-    ok = ok && getF64(p, end, cfg.nvm.occupancyWriteFactor);
-    ok = ok && getU64(p, end, u);
-    cfg.tvarak.cacheBytes = u;
-    ok = ok && getU64(p, end, u);
-    cfg.tvarak.cacheWays = u;
-    ok = ok && getU64(p, end, cfg.tvarak.cacheLatency);
-    ok = ok && getF64(p, end, cfg.tvarak.cacheHitEnergy);
-    ok = ok && getF64(p, end, cfg.tvarak.cacheMissEnergy);
-    ok = ok && getU64(p, end, cfg.tvarak.rangeMatchLatency);
-    ok = ok && getU64(p, end, u) && u == kReservedVerifySlot;
-    ok = ok && getU64(p, end, cfg.tvarak.computeLatency);
-    ok = ok && getU64(p, end, u);
-    cfg.tvarak.redundancyWays = u;
-    ok = ok && getU64(p, end, u);
-    cfg.tvarak.diffWays = u;
-    for (int i = 0; i < kLadderSlots; i++)
-        ok = ok && getU64(p, end, u) && u == kReservedLadderSlot;
-    ok = ok && getU64(p, end, cfg.storeIssueCycles);
-    ok = ok && getF64(p, end, cfg.storeMissLatencyFactor);
-    ok = ok && getU64(p, end, u);
-    cfg.prefetchDegree = u;
-    ok = ok && getF64(p, end, cfg.swChecksumBytesPerCycle);
-    // Optional n+k tail (absent in traces of single-parity arrays).
+    bool ok = true;
+    forEachKnob(cfg, [&](const ConfigKnob &, auto &v) {
+        if (!ok || inTail(cfg, &v))
+            return;
+        for (const RetiredSlot &s : kRetiredSlots) {
+            std::uint64_t u = 0;
+            if (ok && static_cast<std::size_t>(p - blob.data()) == s.word * 8)
+                ok = getU64(p, end, u) && u == s.value;
+        }
+        ok = ok && getKnob(p, end, v);
+    });
     cfg.nvm.parityDimms = 1;
     cfg.nvm.dimmsPerDomain = 1;
-    if (ok && p != end) {
-        ok = getU64(p, end, u);
-        cfg.nvm.parityDimms = u;
-        ok = ok && getU64(p, end, u);
-        cfg.nvm.dimmsPerDomain = u;
-    }
+    if (ok && p != end)
+        ok = getKnob(p, end, cfg.nvm.parityDimms) &&
+            getKnob(p, end, cfg.nvm.dimmsPerDomain);
     return ok && p == end;
 }
 

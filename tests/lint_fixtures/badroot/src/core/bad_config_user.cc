@@ -1,13 +1,12 @@
-// Config-knob consumer for the R12 fixtures: `dimms` and
-// `undocumentedKnob` are read (no R12 finding), `writeOnlyKnob` is
-// only ever assigned, and `deadKnob` is never touched — both seeded
-// violations anchor on src/sim/config.hh.
+// Config-knob consumer for the R12 fixtures: `dimms` is read (no R12
+// finding), `writeOnlyKnob` is only ever assigned, and `deadKnob` is
+// never touched — both seeded violations anchor on src/sim/config.hh.
 #include "sim/config.hh"
 
 unsigned long
 readKnobs(const FixtureParams &p)
 {
-    return p.dimms + p.undocumentedKnob;
+    return p.dimms;
 }
 
 void

@@ -191,6 +191,17 @@ TEST(Config, ValidateCatchesBadGeometry)
     cfg.nvm.dimms = 3;
     cfg.nvm.parityDimms = 2;
     EXPECT_DEATH(cfg.validate(), "dimms - nvm.parityDimms >= 2");
+
+    // The on-controller cache is checked like every other cache level:
+    // zero ways would divide by zero, and 12 KiB in 8 ways is 24 sets.
+    cfg = test::smallConfig();
+    cfg.tvarak.cacheWays = 0;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "on-controller cache: zero size or ways");
+    cfg = test::smallConfig();
+    cfg.tvarak.cacheBytes = 12288;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "on-controller cache: set count 24 not a power of two");
 }
 
 TEST(Config, MemorySystemRejectsBadGeometryBeforeBuildingIt)

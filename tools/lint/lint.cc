@@ -259,109 +259,6 @@ lexFile(const fs::path &file, const std::string &reportPath)
     return lexText(buf.str(), reportPath);
 }
 
-std::vector<ConfigField>
-parseConfigFields(const SourceFile &f)
-{
-    std::vector<Tok> toks;
-    for (std::size_t i = 0; i < f.code.size(); i++)
-        tokenizeLine(f.code[i], i + 1, toks);
-
-    std::vector<ConfigField> fields;
-    std::size_t i = 0;
-    auto skipBalanced = [&](const char *open, const char *close) {
-        // toks[i] is the opener; advance past its match.
-        int depth = 0;
-        for (; i < toks.size(); i++) {
-            if (toks[i].kind == Tok::Punct && toks[i].text == open)
-                depth++;
-            else if (toks[i].kind == Tok::Punct && toks[i].text == close) {
-                depth--;
-                if (depth == 0) {
-                    i++;
-                    return;
-                }
-            }
-        }
-    };
-
-    while (i < toks.size()) {
-        if (toks[i].kind == Tok::Ident && toks[i].text == "enum") {
-            // enum [class] Name { ... };  — skip entirely.
-            while (i < toks.size() &&
-                   !(toks[i].kind == Tok::Punct && toks[i].text == "{"))
-                i++;
-            skipBalanced("{", "}");
-            continue;
-        }
-        if (!(toks[i].kind == Tok::Ident &&
-              (toks[i].text == "struct" || toks[i].text == "class"))) {
-            i++;
-            continue;
-        }
-        i++;
-        if (i >= toks.size() || toks[i].kind != Tok::Ident)
-            continue;
-        std::string structName = toks[i].text;
-        i++;
-        if (i >= toks.size() ||
-            !(toks[i].kind == Tok::Punct && toks[i].text == "{"))
-            continue;  // forward declaration
-        i++;  // past '{'
-
-        std::vector<Tok> stmt;
-        bool done = false;
-        while (i < toks.size() && !done) {
-            const Tok &t = toks[i];
-            if (t.kind == Tok::Punct && t.text == "{") {
-                bool isFunc = std::any_of(
-                    stmt.begin(), stmt.end(), [](const Tok &s) {
-                        return s.kind == Tok::Punct && s.text == "(";
-                    });
-                skipBalanced("{", "}");
-                if (isFunc)
-                    stmt.clear();  // function definition, no trailing ';'
-                continue;
-            }
-            if (t.kind == Tok::Punct && t.text == "}") {
-                done = true;
-                i++;
-                continue;
-            }
-            if (t.kind == Tok::Punct && t.text == ";") {
-                bool hasParen = std::any_of(
-                    stmt.begin(), stmt.end(), [](const Tok &s) {
-                        return s.kind == Tok::Punct && s.text == "(";
-                    });
-                // Truncate at '=' (default member initializer).
-                std::size_t end = stmt.size();
-                for (std::size_t k = 0; k < stmt.size(); k++) {
-                    if (stmt[k].kind == Tok::Punct && stmt[k].text == "=") {
-                        end = k;
-                        break;
-                    }
-                }
-                const Tok *name = nullptr;
-                std::size_t idents = 0;
-                for (std::size_t k = 0; k < end; k++) {
-                    if (stmt[k].kind == Tok::Ident) {
-                        idents++;
-                        name = &stmt[k];
-                    }
-                }
-                if (!hasParen && name && idents >= 2 &&
-                    name->text != "const" && name->text != "static")
-                    fields.push_back({structName, name->text, name->line});
-                stmt.clear();
-                i++;
-                continue;
-            }
-            stmt.push_back(t);
-            i++;
-        }
-    }
-    return fields;
-}
-
 namespace {
 
 // ---------------------------------------------------------------- R1
@@ -478,75 +375,6 @@ ruleR1(const SourceFile &f, std::vector<Finding> &out)
                      "kChecksumBytes / kChecksumsPerLine "
                      "(sim/types.hh) or a named constant"});
         }
-    }
-}
-
-// ---------------------------------------------------------------- R3
-
-void
-ruleR3(const Options &opts, std::vector<Finding> &out)
-{
-    fs::path cfgPath = opts.root / "src" / "sim" / "config.hh";
-    fs::path dumpPath = opts.root / "bench" / "bench_table3.cc";
-    fs::path designPath = opts.root / "DESIGN.md";
-    if (!fs::exists(cfgPath))
-        return;
-
-    SourceFile cfg = lexFile(cfgPath, "src/sim/config.hh");
-    std::vector<ConfigField> fields = parseConfigFields(cfg);
-
-    std::set<std::string> dumpIdents;
-    if (fs::exists(dumpPath)) {
-        SourceFile dump = lexFile(dumpPath, "bench/bench_table3.cc");
-        std::vector<Tok> toks;
-        for (std::size_t i = 0; i < dump.code.size(); i++)
-            tokenizeLine(dump.code[i], i + 1, toks);
-        for (const Tok &t : toks)
-            if (t.kind == Tok::Ident)
-                dumpIdents.insert(t.text);
-    }
-
-    // DESIGN.md section 6 as whole-word text.
-    std::string design6;
-    if (fs::exists(designPath)) {
-        std::ifstream is(designPath);
-        std::string line;
-        bool inSec = false;
-        while (std::getline(is, line)) {
-            if (line.rfind("## ", 0) == 0)
-                inSec = line.rfind("## 6", 0) == 0;
-            else if (inSec)
-                design6 += line + "\n";
-        }
-    }
-    auto inDesign = [&](const std::string &word) {
-        std::size_t p = 0;
-        while ((p = design6.find(word, p)) != std::string::npos) {
-            bool lb = p == 0 || !isIdentChar(design6[p - 1]);
-            std::size_t e = p + word.size();
-            bool rb = e >= design6.size() || !isIdentChar(design6[e]);
-            if (lb && rb)
-                return true;
-            p = e;
-        }
-        return false;
-    };
-
-    for (const ConfigField &fld : fields) {
-        if (cfg.allows("R3", fld.line))
-            continue;
-        if (!dumpIdents.count(fld.name))
-            out.push_back({cfg.path, fld.line, "R3",
-                           "config field '" + fld.structName +
-                               "::" + fld.name +
-                               "' missing from the bench_table3 "
-                               "parameter dump (bench/bench_table3.cc)"});
-        if (!inDesign(fld.name))
-            out.push_back({cfg.path, fld.line, "R3",
-                           "config field '" + fld.structName +
-                               "::" + fld.name +
-                               "' missing from DESIGN.md section 6 "
-                               "(config reference)"});
     }
 }
 
@@ -1038,7 +866,6 @@ run(const Options &opts)
     std::vector<Finding> out;
     for (const std::vector<Finding> &pf : perFile)
         out.insert(out.end(), pf.begin(), pf.end());
-    ruleR3(opts, out);
 
     // Whole-repo pass: include graph + symbol/use tables (R9..R13).
     runModelRules(buildRepoModel(std::move(sources)), out);

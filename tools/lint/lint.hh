@@ -9,9 +9,6 @@
  *   R1  No naked 64/4096/8-style geometry literals in address math;
  *       use kLineBytes / kPageBytes / kChecksumBytes /
  *       kChecksumsPerLine from sim/types.hh.
- *   R3  Every config field in src/sim/config.hh appears in the
- *       bench_table3 parameter dump and in DESIGN.md §6
- *       (config-docs drift check).
  *   R4  Header hygiene: every .hh starts with `#pragma once` (or a
  *       classic include guard) and has no `using namespace` at
  *       header scope.
@@ -48,12 +45,15 @@
  *   R11 Stats dataflow: every row of the Stats counter table
  *       (src/sim/stats.hh) is referenced somewhere in src/ outside
  *       sim/stats.*; an unreferenced counter can only ever print 0.
- *   R12 Config-knob drift: SimConfig fields never read (or set but
- *       never read) by the simulator.
+ *   R12 Config-knob drift: every row of the SimConfig knob tables
+ *       (src/sim/config.hh) is read somewhere in src/ outside
+ *       sim/config.*; a knob only ever declared or set changes
+ *       nothing.
  *   R13 Lock discipline: naked lock()/unlock() in src/harness/.
  *
- * Rule ids are stable: R2 (the stats-key registry) is retired, and
- * its id is not reused.
+ * Rule ids are stable: R2 (the stats-key registry) and R3 (the
+ * config-docs drift check, made moot by the knob tables) are retired,
+ * and their ids are not reused.
  *
  * A finding on line N is suppressed by `// lint:allow(R#)` (comma
  * lists allowed) on line N or on the line directly above it.
@@ -78,7 +78,6 @@ struct RuleInfo {
  *  rules array and the --self-test coverage check both read it. */
 inline constexpr RuleInfo kRules[] = {
     {"R1", "No naked geometry literals in address math"},
-    {"R3", "Config fields documented in bench_table3 and DESIGN.md"},
     {"R4", "Header hygiene: guards, no using namespace at header scope"},
     {"R5", "Timing/energy constants live in sim/config.hh"},
     {"R6", "Raw threading confined to src/harness/"},
@@ -104,9 +103,7 @@ struct Finding {
 };
 
 struct Options {
-    /** Repo root; the R3/R11 artifacts (src/sim/config.hh,
-     *  bench/bench_table3.cc, DESIGN.md, src/sim/stats.hh) are
-     *  located relative to it. */
+    /** Repo root; scanned paths and findings are relative to it. */
     std::filesystem::path root;
     /** Directories (or files), relative to root, to scan.
      *  Empty = {"src", "tests", "bench", "tools", "examples"}
@@ -149,15 +146,6 @@ SourceFile lexFile(const std::filesystem::path &file,
 
 /** Pre-lex in-memory text (fixture-free unit tests). */
 SourceFile lexText(const std::string &text, const std::string &reportPath);
-
-/** Data-member names of every struct in a config header, with the
- *  1-based line each was declared on. */
-struct ConfigField {
-    std::string structName;
-    std::string name;
-    std::size_t line;
-};
-std::vector<ConfigField> parseConfigFields(const SourceFile &f);
 
 /**@}*/
 

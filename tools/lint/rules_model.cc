@@ -14,9 +14,10 @@
  *   R11 stats dataflow: every row of the Stats counter table in
  *       src/sim/stats.hh must be referenced somewhere in src/ outside
  *       sim/stats.*; a counter nothing touches can only print 0.
- *   R12 config-knob drift: every config field must be read somewhere
- *       in src/ outside sim/config.* — knobs that are dead, or set
- *       but never consulted, silently diverge from the tables.
+ *   R12 config-knob drift: every row of the knob tables in
+ *       src/sim/config.hh must be read somewhere in src/ outside
+ *       sim/config.* — knobs that are dead, or set but never
+ *       consulted, silently diverge from the tables.
  *   R13 lock discipline: no naked lock()/unlock() calls in
  *       src/harness/; critical sections use scoped guards.
  */
@@ -270,6 +271,34 @@ ruleR10(const RepoModel &m, std::vector<Finding> &out)
     }
 }
 
+/**
+ * The member token of every `X(type, member, ...)` row in @p hdr: the
+ * Stats counter table (R11) and the SimConfig knob tables (R12) are
+ * written as such rows.
+ */
+std::vector<Tok>
+tableRowMembers(const SourceFile &hdr)
+{
+    std::vector<Tok> members;
+    std::vector<Tok> toks = tokenizeFile(hdr.code);
+    for (std::size_t i = 0; i + 1 < toks.size(); i++) {
+        if (toks[i].text != "X" || toks[i + 1].text != "(")
+            continue;
+        const Tok *member = nullptr;
+        int commas = 0;
+        for (std::size_t j = i + 2; j < toks.size() && toks[j].text != ")";
+             j++) {
+            if (toks[j].text == ",")
+                commas++;
+            else if (commas == 1 && toks[j].kind == Tok::Ident)
+                member = &toks[j];
+        }
+        if (member != nullptr)
+            members.push_back(*member);
+    }
+    return members;
+}
+
 // --------------------------------------------------------------- R11
 
 void
@@ -292,25 +321,11 @@ ruleR11(const RepoModel &m, std::vector<Finding> &out)
                 used.insert(t.text);
     }
 
-    // Counter table rows: X(type, member, "key").
-    std::vector<Tok> toks = tokenizeFile(hdr.code);
-    for (std::size_t i = 0; i + 1 < toks.size(); i++) {
-        if (toks[i].text != "X" || toks[i + 1].text != "(")
+    for (const Tok &member : tableRowMembers(hdr)) {
+        if (used.count(member.text) || hdr.allows("R11", member.line))
             continue;
-        const Tok *member = nullptr;
-        int commas = 0;
-        for (std::size_t j = i + 2; j < toks.size() && toks[j].text != ")";
-             j++) {
-            if (toks[j].text == ",")
-                commas++;
-            else if (commas == 1 && toks[j].kind == Tok::Ident)
-                member = &toks[j];
-        }
-        if (member == nullptr || used.count(member->text) ||
-            hdr.allows("R11", member->line))
-            continue;
-        out.push_back({hdr.path, member->line, "R11",
-                       "stats counter '" + member->text +
+        out.push_back({hdr.path, member.line, "R11",
+                       "stats counter '" + member.text +
                            "' is never referenced in src/ outside "
                            "sim/stats.* — it can only ever print 0"});
     }
@@ -325,11 +340,8 @@ ruleR12(const RepoModel &m, std::vector<Finding> &out)
     if (cfgIt == m.byPath.end())
         return;
     const SourceFile &cfg = m.files[cfgIt->second];
-    std::vector<ConfigField> fields = parseConfigFields(cfg);
-    if (fields.empty())
-        return;
 
-    // Member accesses (`.field` / `->field`) across src/, split into
+    // Member accesses (`.knob` / `->knob`) across src/, split into
     // reads and writes. bench/tools only *print* the knobs, so they
     // do not count as consumers.
     std::set<std::string> read, written;
@@ -355,19 +367,17 @@ ruleR12(const RepoModel &m, std::vector<Finding> &out)
         }
     }
 
-    for (const ConfigField &fld : fields) {
-        if (read.count(fld.name) || cfg.allows("R12", fld.line))
+    for (const Tok &knob : tableRowMembers(cfg)) {
+        if (read.count(knob.text) || cfg.allows("R12", knob.line))
             continue;
-        if (written.count(fld.name)) {
-            out.push_back({cfg.path, fld.line, "R12",
-                           "config knob '" + fld.structName +
-                               "::" + fld.name +
+        if (written.count(knob.text)) {
+            out.push_back({cfg.path, knob.line, "R12",
+                           "config knob '" + knob.text +
                                "' is set but never read in src/ — "
                                "tuning it changes nothing"});
         } else {
-            out.push_back({cfg.path, fld.line, "R12",
-                           "config knob '" + fld.structName +
-                               "::" + fld.name +
+            out.push_back({cfg.path, knob.line, "R12",
+                           "config knob '" + knob.text +
                                "' is never read in src/ — dead knob; "
                                "wire it up or delete it"});
         }
