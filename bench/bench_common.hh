@@ -1,11 +1,13 @@
 /**
  * @file
  * Shared plumbing for the figure benches: the evaluation machine
- * configuration (Table III scaled to tractable workload sizes),
- * command-line handling, design-sweep helpers built on the parallel
+ * configuration (Table III scaled to tractable workload sizes), the
+ * bench command line, design-sweep helpers built on the parallel
  * experiment engine, and machine-readable JSON result emission.
  *
- * Every bench accepts:
+ * Every bench parses its command line with src/harness/cli.hh (so
+ * `--flag v` and `--flag=v`, exit 2 on a usage error, `--help`),
+ * against these rows plus its own:
  *
  *   --scale N   multiply the workload size (default 1), so tables can
  *               be regenerated at larger fixed-work sizes.
@@ -25,18 +27,15 @@
  * it per design is tvarak-trace's job. There is no kernel-backend
  * flag: src/kernels/ picks AVX2 or scalar once by CPUID, and
  * simulated results do not depend on the choice.
- *
- * Unknown flags and malformed values are usage errors (exit 2) — a
- * typo must never silently run the wrong experiment.
  */
 
 #pragma once
 
 #include <chrono>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hh"
 #include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
@@ -50,6 +49,9 @@ SimConfig evalConfig();
 
 /** Parsed common command line (see file header for the flags). */
 struct BenchArgs {
+    /** The whole parsed command line: a bench's own rows are read
+     *  from it, and its fail() is the usage-error exit. */
+    cli::Args cmdline;
     std::size_t scale = 1;
     /** Worker threads; 0 = defaultJobs() (hardware concurrency). */
     std::size_t jobs = 0;
@@ -64,56 +66,13 @@ struct BenchArgs {
 };
 
 /**
- * Parse `--scale N`, `--jobs N`, `--json` and `--help`. @p what is
- * the one-line description printed by --help; @p benchName names the
- * JSON output file. Rejects unknown arguments and malformed or
- * out-of-range values with a usage message and exit(2).
+ * Parse the common rows plus @p extra (a bench's own) as the command
+ * line of bench_<@p benchName>; @p what heads its usage. Exits 0 on
+ * --help and 2 on a usage error.
  */
 BenchArgs parseBenchArgs(int argc, char **argv, const char *what,
-                         const char *benchName);
-
-/**
- * A bench-specific flag handled inside parseBenchArgs, so extended
- * benches keep the common strictness (unknown flags and malformed
- * values exit 2) without reimplementing the parser.
- */
-struct ExtraFlag {
-    const char *flag;       //!< e.g. "--servers"
-    /** Placeholder in help/usage (e.g. "N"); null = boolean switch. */
-    const char *valueName = nullptr;
-    const char *help = "";  //!< one help line (without the flag)
-    /** Called with the parsed value ("" for switches). Use the
-     *  parse*Value helpers below to reject malformed values. */
-    std::function<void(const std::string &value)> apply;
-};
-
-/** Extension knobs for parseBenchArgs. */
-struct BenchArgsSpec {
-    const char *what = "";
-    const char *benchName = "";
-    /** Reject two --design selections sharing a DesignKind. Figure
-     *  benches need this (rows are keyed by kind); benches keyed by
-     *  registry name (bench_service) turn it off so the Fig-9 tvarak
-     *  variants can be swept together. */
-    bool uniqueDesignKinds = true;
-    std::vector<ExtraFlag> extras;
-};
-
-/** parseBenchArgs with bench-specific extra flags. */
-BenchArgs parseBenchArgs(int argc, char **argv,
-                         const BenchArgsSpec &spec);
-
-/** @name Strict value parsers for ExtraFlag::apply
- *  Malformed values print a usage message and exit(2), matching the
- *  common flags' behaviour. */
-/**@{*/
-/** Positive integer (zero and garbage rejected). */
-std::size_t parseCountValue(const char *flag, const std::string &value);
-/** Positive finite double. */
-double parseFracValue(const char *flag, const std::string &value);
-/** Print "<prog>: <msg>" + usage and exit(2). */
-[[noreturn]] void benchUsageError(const std::string &msg);
-/**@}*/
+                         const char *benchName,
+                         std::vector<cli::Flag> extra = {});
 
 /** For benches that run a fixed design set: exit(2) if --design was
  *  given, rather than silently run designs the user did not ask for. */
@@ -129,7 +88,9 @@ struct WorkloadSpec {
 
 /** Run every spec under @p args.designs (the four paper designs if
  *  --design was not given) in one parallel batch of args.jobs
- *  workers; one FigureRow per spec, in spec order. */
+ *  workers; one FigureRow per spec, in spec order. Rows are keyed by
+ *  DesignKind, so two selected designs of one kind are a usage
+ *  error. */
 std::vector<FigureRow> sweepRows(const std::vector<WorkloadSpec> &specs,
                                  const BenchArgs &args);
 

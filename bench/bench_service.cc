@@ -25,9 +25,7 @@
  * count before anything runs.
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -48,46 +46,6 @@ fmtDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.6f", v);
     return buf;
-}
-
-/**
- * Parse a comma-separated DIMM index list. Exit-2 usage errors on
- * malformed numbers and duplicate indices; range checking against each
- * design's DIMM count happens later, once designs are resolved.
- */
-std::vector<std::size_t>
-parseFaultDimms(const std::string &spec)
-{
-    std::vector<std::size_t> dimms;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string tok = spec.substr(pos, comma - pos);
-        errno = 0;
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-        // Index 0 is a legal DIMM, so parseCountValue (which rejects
-        // zero) cannot be reused here.
-        if (tok.empty() || end == tok.c_str() || *end != '\0' ||
-            tok[0] == '-' || errno == ERANGE) {
-            benchUsageError("invalid --fail-dimms index '" + tok + "'");
-        }
-        dimms.push_back(static_cast<std::size_t>(v));
-        pos = comma + 1;
-    }
-    for (std::size_t i = 0; i < dimms.size(); i++) {
-        for (std::size_t j = i + 1; j < dimms.size(); j++) {
-            if (dimms[i] == dimms[j]) {
-                benchUsageError("--fail-dimms indices must be "
-                                "distinct (DIMM " +
-                                std::to_string(dimms[i]) +
-                                " appears twice)");
-            }
-        }
-    }
-    return dimms;
 }
 
 void
@@ -171,69 +129,57 @@ writeServiceJson(const std::string &path, const ServiceConfig &svc,
 int
 main(int argc, char **argv)
 {
+    std::string workloads;
+    for (const ServiceWorkloadInfo &w : serviceWorkloads())
+        workloads += (workloads.empty() ? "" : ", ") + std::string(w.name);
+    BenchArgs args = parseBenchArgs(
+        argc, argv,
+        "Open-loop service front-end: latency vs offered load per design",
+        "service",
+        {{"--workload", "NAME",
+          "service workload (" + workloads + "); default redis-set"},
+         {"--servers", "N", "reactor threads (default 4)"},
+         {"--requests", "N", "open-loop requests per point (default 4096)"},
+         {"--arrival", "KIND", "arrival process: poisson | bursty"},
+         {"--seed", "N", "arrival/request stream seed (default 1)"},
+         {"--fail-dimm", nullptr,
+          "fail DIMM 1 at 1/4 of the run, replace + rebuild at 1/2"},
+         {"--fail-dimms", "LIST",
+          "comma-separated DIMM indices failed in a staggered schedule "
+          "(each later DIMM fails mid-rebuild of the previous one)"}});
+    const cli::Args &a = args.cmdline;
     ServiceConfig svc;
-    bool faultMode = false;
-    std::string failDimmsSpec;
-
-    std::string workloadHelp = "service workload (";
-    for (const ServiceWorkloadInfo &w : serviceWorkloads()) {
-        if (workloadHelp.back() != '(')
-            workloadHelp += ", ";
-        workloadHelp += w.name;
-    }
-    workloadHelp += "); default redis-set";
-
-    BenchArgsSpec spec;
-    spec.what = "Open-loop service front-end: latency vs offered load "
-        "per design";
-    spec.benchName = "service";
-    spec.uniqueDesignKinds = false;  // results keyed by registry name
-    spec.extras = {
-        {"--workload", "NAME", workloadHelp.c_str(),
-         [&svc](const std::string &v) {
-             bool known = false;
-             for (const ServiceWorkloadInfo &w : serviceWorkloads())
-                 known = known || v == w.name;
-             if (!known)
-                 benchUsageError("unknown service workload '" + v + "'");
-             svc.workload = v;
-         }},
-        {"--servers", "N", "reactor threads (default 4)",
-         [&svc](const std::string &v) {
-             svc.servers = parseCountValue("--servers", v);
-         }},
-        {"--requests", "N", "open-loop requests per point (default 4096)",
-         [&svc](const std::string &v) {
-             svc.requests = parseCountValue("--requests", v);
-         }},
-        {"--arrival", "KIND", "arrival process: poisson | bursty",
-         [&svc](const std::string &v) {
-             if (!parseArrivalKind(v, svc.arrival.kind))
-                 benchUsageError("unknown arrival kind '" + v +
-                                 "' (poisson, bursty)");
-         }},
-        {"--seed", "N", "arrival/request stream seed (default 1)",
-         [&svc](const std::string &v) {
-             svc.arrival.seed = parseCountValue("--seed", v);
-         }},
-        {"--fail-dimm", nullptr,
-         "fail DIMM 1 at 1/4 of the run, replace + rebuild at 1/2",
-         [&faultMode](const std::string &) { faultMode = true; }},
-        {"--fail-dimms", "LIST",
-         "comma-separated DIMM indices failed in a staggered schedule "
-         "(each later DIMM fails mid-rebuild of the previous one)",
-         [&failDimmsSpec](const std::string &v) { failDimmsSpec = v; }},
-    };
-    BenchArgs args = parseBenchArgs(argc, argv, spec);
     svc.scale = args.scale;
+    svc.workload = a.value("--workload", svc.workload);
+    bool known = false;
+    for (const ServiceWorkloadInfo &w : serviceWorkloads())
+        known = known || svc.workload == w.name;
+    if (!known)
+        a.fail("unknown service workload '" + svc.workload + "'");
+    svc.servers = a.number("--servers", svc.servers);
+    svc.requests = a.number("--requests", svc.requests);
+    if (a.has("--arrival") &&
+        !parseArrivalKind(a.value("--arrival"), svc.arrival.kind)) {
+        a.fail("unknown arrival kind '" + a.value("--arrival") +
+               "' (poisson, bursty)");
+    }
+    svc.arrival.seed = a.number("--seed", svc.arrival.seed);
+    bool faultMode = a.has("--fail-dimm");
 
     std::vector<std::size_t> faultDimms;
-    if (!failDimmsSpec.empty()) {
-        if (faultMode) {
-            benchUsageError("--fail-dimm and --fail-dimms are "
-                            "mutually exclusive");
+    if (a.has("--fail-dimms")) {
+        if (faultMode)
+            a.fail("--fail-dimm and --fail-dimms are mutually exclusive");
+        faultDimms = a.list("--fail-dimms");
+        for (std::size_t i = 0; i < faultDimms.size(); i++) {
+            for (std::size_t j = 0; j < i; j++) {
+                if (faultDimms[i] == faultDimms[j]) {
+                    a.fail("--fail-dimms indices must be distinct (DIMM " +
+                           std::to_string(faultDimms[i]) +
+                           " appears twice)");
+                }
+            }
         }
-        faultDimms = parseFaultDimms(failDimmsSpec);
         // Staggered schedule: each DIMM's rebuild window is a quarter
         // of the run, and the next failure lands one sixteenth after
         // the previous replacement — well inside its idle-gap rebuild,
@@ -247,9 +193,9 @@ main(int argc, char **argv)
             f.failAt = at;
             f.replaceAt = at + base;
             if (f.failAt > svc.requests) {
-                benchUsageError("--fail-dimms schedule does not fit in "
-                                + std::to_string(svc.requests) +
-                                " requests; raise --requests");
+                a.fail("--fail-dimms schedule does not fit in " +
+                       std::to_string(svc.requests) +
+                       " requests; raise --requests");
             }
             svc.faults.push_back(f);
             at = f.replaceAt + gap;
@@ -309,12 +255,10 @@ main(int argc, char **argv)
         d->adjustConfig(probe);
         for (std::size_t dimm : faultDimms) {
             if (dimm >= probe.nvm.dimms) {
-                benchUsageError("--fail-dimms index " +
-                                std::to_string(dimm) +
-                                " out of range: design " +
-                                d->cliName() + " has " +
-                                std::to_string(probe.nvm.dimms) +
-                                " DIMMs");
+                a.fail("--fail-dimms index " + std::to_string(dimm) +
+                       " out of range: design " + d->cliName() +
+                       " has " + std::to_string(probe.nvm.dimms) +
+                       " DIMMs");
             }
         }
     }

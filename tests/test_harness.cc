@@ -1,14 +1,17 @@
 /**
  * @file
  * Harness tests: experiment runner semantics (setup/measure split,
- * interleaving, beforeMeasure), report normalization, and SimConfig
- * validation.
+ * interleaving, beforeMeasure), report normalization, SimConfig
+ * validation, and the command-line parser every bench and tool uses.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "harness/cli.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "test_util.hh"
@@ -227,6 +230,119 @@ TEST(Config, DesignNamesAreStable)
                  "TxB-Object-Csums");
     EXPECT_STREQ(designName(DesignKind::TxBPageCsums),
                  "TxB-Page-Csums");
+}
+
+/** A one-command tool: an operand, a number, a switch and a
+ *  repeatable name. */
+const cli::Tool kTool{"tool", "",
+                      {{"", "<in>", 1,
+                        {{"--n", "N", "a number"},
+                         {"--on", nullptr, "a switch"},
+                         {"--d", "NAME", "a name", true}}}}};
+
+/** A tool with two subcommands. */
+const cli::Tool kSubTool{"sub", "",
+                         {{"a", "", 0, {}},
+                          {"b", "<f>", 1, {{"--n", "N", "a number"}}}}};
+
+/** Parse @p words (argv[0] first) against @p tool. */
+cli::Args
+parse(const cli::Tool &tool, std::vector<std::string> words)
+{
+    std::vector<char *> argv;
+    for (std::string &w : words)
+        argv.push_back(w.data());
+    return cli::Args(tool, static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(Cli, ParsesBothValueSpellingsSwitchesAndRepeats)
+{
+    cli::Args a = parse(kTool, {"tool", "--n=7", "in", "--d", "x",
+                                "--on", "--d=y"});
+    EXPECT_EQ(a.positional, std::vector<std::string>{"in"});
+    EXPECT_EQ(a.number("--n", 1), 7u);
+    EXPECT_TRUE(a.has("--on"));
+    EXPECT_EQ(a.values("--d"), (std::vector<std::string>{"x", "y"}));
+
+    cli::Args b = parse(kTool, {"tool", "in"});
+    EXPECT_EQ(b.number("--n", 5), 5u);
+    EXPECT_FALSE(b.has("--on"));
+    EXPECT_TRUE(b.values("--d").empty());
+
+    cli::Args c = parse(kSubTool, {"sub", "b", "f", "--n", "3"});
+    EXPECT_EQ(c.command, "b");
+    EXPECT_EQ(c.number("--n", 1), 3u);
+}
+
+TEST(Cli, IntegersAreStrictAndRanged)
+{
+    std::uint64_t v = 0;
+    EXPECT_TRUE(cli::parseInteger("42", 1, 100, v));
+    EXPECT_EQ(v, 42u);
+    EXPECT_TRUE(cli::parseInteger("18446744073709551615", 0, UINT64_MAX,
+                                  v));
+    for (const char *bad : {"", " -1", "-1", "+3", "3x", " 3", "0x10",
+                            "18446744073709551616"})
+        EXPECT_FALSE(cli::parseInteger(bad, 0, UINT64_MAX, v)) << bad;
+    EXPECT_FALSE(cli::parseInteger("0", 1, 100, v));
+    EXPECT_FALSE(cli::parseInteger("101", 1, 100, v));
+}
+
+TEST(Cli, IndexLists)
+{
+    std::vector<std::size_t> v;
+    EXPECT_TRUE(cli::parseList("0,1", v));
+    EXPECT_EQ(v, (std::vector<std::size_t>{0, 1}));
+    EXPECT_TRUE(cli::parseList("3", v));
+    EXPECT_EQ(v, std::vector<std::size_t>{3});
+    for (const char *bad : {"", "0,", ",1", "0,,1", "0,x", "0, 1", "-1"})
+        EXPECT_FALSE(cli::parseList(bad, v)) << bad;
+}
+
+TEST(Cli, UsageComesFromTheRows)
+{
+    EXPECT_EQ(cli::usage(kTool),
+              "usage: tool <in> [--n N] [--on] [--d NAME]...\n"
+              "  --n N              a number\n"
+              "  --on               a switch\n"
+              "  --d NAME           a name\n"
+              "  --help             print this usage and exit\n");
+    EXPECT_EQ(cli::usage(kSubTool),
+              "usage: sub a\n"
+              "usage: sub b <f> [--n N]\n"
+              "  --n N              a number\n"
+              "  --help             print this usage and exit\n");
+}
+
+TEST(Cli, UsageErrorsExitTwoAndHelpExitsZero)
+{
+    const std::vector<std::vector<std::string>> bad = {
+        {"tool", "in", "--n", "1", "--n", "2"},  // not repeatable
+        {"tool", "in", "--n="},                  // empty value
+        {"tool", "in", "--n"},                   // missing value
+        {"tool", "in", "--on=1"},                // switch with a value
+        {"tool", "in", "--bogus"},               // unknown flag
+        {"tool", "in", "-h"},                    // no short flags
+        {"tool"},                                // operand count
+        {"tool", "in", "extra"},
+        {"sub"},                                 // missing command
+        {"sub", "c"},                            // unknown command
+        {"sub", "a", "--n", "1"},                // flag of another
+    };
+    for (const std::vector<std::string> &words : bad) {
+        const cli::Tool &tool = words[0] == "sub" ? kSubTool : kTool;
+        EXPECT_EXIT(parse(tool, words), ::testing::ExitedWithCode(2),
+                    "^" + words[0] + ": ");
+    }
+    EXPECT_EXIT(parse(kTool, {"tool", "in", "--n", "-1"}).number("--n", 1),
+                ::testing::ExitedWithCode(2), "bad value for --n: '-1'");
+    EXPECT_EXIT(parse(kTool, {"tool", "in", "--d", "no-such"})
+                    .design("no-such"),
+                ::testing::ExitedWithCode(2), "unknown design 'no-such'");
+    EXPECT_EXIT(parse(kTool, {"tool", "--help"}),
+                ::testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(parse(kSubTool, {"sub", "--help"}),
+                ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -82,6 +82,7 @@
 
 #include "apps/trees/pmem_map.hh"
 #include "fs/dax_fs.hh"
+#include "harness/cli.hh"
 #include "harness/runner.hh"
 #include "pmemlib/pmem_pool.hh"
 #include "redundancy/rebuild.hh"
@@ -92,33 +93,10 @@
 #include "sim/rng.hh"
 #include "trace/trace.hh"
 
-#include "../cli_args.hh"
-
 namespace tvarak::faultcli {
 namespace {
 
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage:\n"
-        "  tvarak-fault map    --seed N [--design <d>] [--ops N]"
-        " [--keys N]\n"
-        "                      [--events N] [--out report.json]\n"
-        "  tvarak-fault multi  --seed N [--design <d>] [--ops N]"
-        " [--keys N]\n"
-        "                      [--fail-dimms i,j | --fail-dimms i"
-        " --refail]\n"
-        "                      [--out report.json]\n"
-        "  tvarak-fault replay <file.trace> --seed N [--design <d>]\n"
-        "                      [--out report.json]\n"
-        "designs: %s\n",
-        registeredNameList().c_str());
-    return 2;
-}
-
-/** Print "tvarak-fault: <message>" and exit 2 (usage or I/O error). */
+/** Print "tvarak-fault: <message>" and exit 2 (an I/O error). */
 [[noreturn]] __attribute__((format(printf, 1, 2))) void
 die(const char *fmt, ...)
 {
@@ -140,59 +118,36 @@ below(Rng &rng, std::uint64_t n)
     return n == 0 ? 0 : rng.next() % n;
 }
 
-/** Optional flag @p key as an integer in [@p min, @p max], @p dflt if
- *  absent; exit 2 on a bad value. */
-std::uint64_t
-numberFlag(const cli::Args &a, const char *key, std::uint64_t dflt,
-           std::uint64_t min = 1, std::uint64_t max = UINT64_MAX)
-{
-    auto it = a.flags.find(key);
-    return it != a.flags.end()
-        ? cli::parseNumber("tvarak-fault", key, it->second, min, max)
-        : dflt;
-}
-
 /** A parsed subcommand: its own flags in @c a, plus the flags every
  *  mode takes. */
 struct Command {
-    cli::Args a;
+    const cli::Args &a;
     std::uint64_t seed;
     const Design &design;
     std::string out;
 };
 
-/** Parse @p raw with the mode's own value @p flags and @p switches
- *  and @p positionals positional arguments; on a usage error print
- *  usage() and exit 2. */
+/** The flags every mode takes, read from @p a. */
 Command
-parseCommand(const std::vector<std::string> &raw,
-             std::vector<std::string> flags,
-             const std::vector<std::string> &switches,
-             std::size_t positionals)
+parseCommand(const cli::Args &a)
 {
-    cli::Args a;
-    flags.insert(flags.end(), {"--seed", "--design", "--out"});
-    if (!cli::parseArgs(raw, flags, switches, a) ||
-        a.positional.size() != positionals || a.flags.count("--seed") == 0)
-        std::exit(usage());
-    return {a,
-            cli::parseNumber("tvarak-fault", "--seed", a.flags.at("--seed"),
-                             0),
-            a.flags.count("--design") != 0
-                ? cli::parseDesign("tvarak-fault", a.flags.at("--design"))
-                : designOf(DesignKind::Tvarak),
-            a.flags.count("--out") != 0 ? a.flags.at("--out") : ""};
+    if (!a.has("--seed"))
+        a.fail("missing --seed");
+    return {a, a.number("--seed", 0, 0),
+            a.design(a.value("--design", "tvarak")),
+            a.value("--out")};
 }
 
 /** multi and replay keep writing while DIMMs are down: exit 2 unless
  *  the controller keeps the design's parity (the Tvarak family). */
 void
-requireOnlineRebuild(const Design &design, const char *mode)
+requireOnlineRebuild(const Command &c)
 {
-    if (!design.coverage().controllerKeepsParity()) {
-        die("%s needs a design whose controller keeps its parity, so "
-            "it can rebuild a DIMM while writes continue (the Tvarak "
-            "family; TxB and Vilamb recompute over the stripe)", mode);
+    if (!c.design.coverage().controllerKeepsParity()) {
+        c.a.fail(c.a.command + " needs a design whose controller keeps "
+                 "its parity, so it can rebuild a DIMM while writes "
+                 "continue (the Tvarak family; TxB and Vilamb recompute "
+                 "over the stripe)");
     }
 }
 
@@ -1142,13 +1097,12 @@ mapSchedule(Rng &rng, const Design &design, std::size_t ops,
 }
 
 int
-cmdMap(const std::vector<std::string> &raw)
+cmdMap(const Command &c)
 {
-    Command c = parseCommand(raw, {"--ops", "--keys", "--events"}, {}, 0);
     const Design &design = c.design;
-    std::size_t ops = numberFlag(c.a, "--ops", 240, 24);
-    std::size_t keys = numberFlag(c.a, "--keys", 96, 1, kMaxKeys);
-    std::size_t events = numberFlag(c.a, "--events", 5);
+    std::size_t ops = c.a.number("--ops", 240, 24);
+    std::size_t keys = c.a.number("--keys", 96, 1, kMaxKeys);
+    std::size_t events = c.a.number("--events", 5);
 
     inform("map campaign: %s, seed %llu, %zu ops, %zu events",
            design.displayName(), static_cast<unsigned long long>(c.seed),
@@ -1238,64 +1192,54 @@ multiSchedule(std::size_t ops, const std::vector<std::size_t> &dimms,
             2048};
 }
 
-/** Parse and validate --fail-dimms against the machine the design
- *  actually pins (exit 2 on any bad input — bad indices must never
- *  reach MemorySystem as an assertion). */
+/** --fail-dimms, validated against the machine the design actually
+ *  pins (exit 2 on any bad input — bad indices must never reach
+ *  MemorySystem as an assertion). */
 std::vector<std::size_t>
-parseFailDimms(const std::string &spec, bool refail,
-               std::size_t dimmCount, const char *designName)
+failDimmsFlag(const cli::Args &a, bool refail, std::size_t dimmCount,
+          const char *designName)
 {
-    std::vector<std::size_t> out;
-    for (std::size_t pos = 0; pos <= spec.size();) {
-        std::size_t end = std::min(spec.find(',', pos), spec.size());
-        std::uint64_t v = 0;
-        if (!cli::parseU64(spec.substr(pos, end - pos), v)) {
-            die("--fail-dimms wants a comma-separated index list, got "
-                "'%s'", spec.c_str());
-        }
-        out.push_back(static_cast<std::size_t>(v));
-        pos = end + 1;
-    }
+    std::vector<std::size_t> out = a.has("--fail-dimms")
+        ? a.list("--fail-dimms")
+        : refail ? std::vector<std::size_t>{0}
+                 : std::vector<std::size_t>{0, 1};
     std::size_t want = refail ? 1 : 2;
     if (out.size() != want) {
-        die("--fail-dimms wants %zu %s, got %zu (use --refail to "
-            "re-fail the one rebuilding DIMM)",
-            want, refail ? "index" : "distinct indices", out.size());
+        a.fail("--fail-dimms wants " + std::to_string(want) +
+               (refail ? " index" : " distinct indices") + ", got " +
+               std::to_string(out.size()) +
+               " (use --refail to re-fail the one rebuilding DIMM)");
     }
     for (std::size_t d : out) {
         if (d >= dimmCount) {
-            die("--fail-dimms index %zu out of range: design %s has "
-                "%zu DIMMs", d, designName, dimmCount);
+            a.fail("--fail-dimms index " + std::to_string(d) +
+                   " out of range: design " + designName + " has " +
+                   std::to_string(dimmCount) + " DIMMs");
         }
     }
     if (!refail && out[0] == out[1]) {
-        die("--fail-dimms indices must be distinct (got %zu,%zu); use "
-            "--refail to re-fail the rebuilding DIMM itself",
-            out[0], out[1]);
+        a.fail("--fail-dimms indices must be distinct (got " +
+               std::to_string(out[0]) + "," + std::to_string(out[1]) +
+               "); use --refail to re-fail the rebuilding DIMM itself");
     }
     return out;
 }
 
 int
-cmdMulti(const std::vector<std::string> &raw)
+cmdMulti(const Command &c)
 {
-    Command c = parseCommand(raw, {"--ops", "--keys", "--fail-dimms"},
-                             {"--refail"}, 0);
     const Design &design = c.design;
-    requireOnlineRebuild(design, "multi");
-    std::size_t ops = numberFlag(c.a, "--ops", 240, 48);
-    std::size_t keys = numberFlag(c.a, "--keys", 96, 1, kMaxKeys);
-    bool refail = c.a.flags.count("--refail") != 0;
+    requireOnlineRebuild(c);
+    std::size_t ops = c.a.number("--ops", 240, 48);
+    std::size_t keys = c.a.number("--keys", 96, 1, kMaxKeys);
+    bool refail = c.a.has("--refail");
 
     // The DIMM count the schedule runs against is whatever geometry
     // the design pins, not the campaign default.
     SimConfig cfg = campaignConfig();
     design.adjustConfig(cfg);
-    std::vector<std::size_t> failDimms = parseFailDimms(
-        c.a.flags.count("--fail-dimms") != 0 ? c.a.flags.at("--fail-dimms")
-        : refail                           ? std::string("0")
-                                           : std::string("0,1"),
-        refail, cfg.nvm.dimms, design.displayName());
+    std::vector<std::size_t> failDimms =
+        failDimmsFlag(c.a, refail, cfg.nvm.dimms, design.displayName());
 
     inform("multi campaign: %s, seed %llu, %zu ops, fail dimm %zu, "
            "then dimm %zu%s", design.displayName(),
@@ -1412,10 +1356,9 @@ replayOnce(const std::shared_ptr<const trace::TraceData> &trace,
 }
 
 int
-cmdReplay(const std::vector<std::string> &raw)
+cmdReplay(const Command &c)
 {
-    Command c = parseCommand(raw, {}, {}, 1);
-    requireOnlineRebuild(c.design, "replay");
+    requireOnlineRebuild(c);
     auto trace = trace::TraceData::load(c.a.positional[0]);
     if (trace == nullptr)
         die("cannot load trace %s", c.a.positional[0].c_str());
@@ -1465,22 +1408,51 @@ cmdReplay(const std::vector<std::string> &raw)
         });
 }
 
+/** The grammar of tvarak-fault: map, multi and replay, each with
+ *  --seed, --design and --out. */
+cli::Tool
+faultTool()
+{
+    auto rows = [](std::vector<cli::Flag> own) {
+        own.insert(
+            own.begin(),
+            {{"--seed", "N", "campaign seed (required)"},
+             {"--design", "NAME",
+              "design under test (default tvarak; registered: " +
+                  registeredNameList() + ")"},
+             {"--out", "FILE", "write the report to FILE (default: stdout)"}});
+        return own;
+    };
+    cli::Flag keys{"--keys", "N", "campaign keys (default 96, at most " +
+                       std::to_string(kMaxKeys) + ")"};
+    return {"tvarak-fault", "",
+            {{"map", "", 0,
+              rows({{"--ops", "N", "operations (default 240, at least 24)"},
+                    keys,
+                    {"--events", "N", "fault events (default 5)"}})},
+             {"multi", "", 0,
+              rows({{"--ops", "N", "operations (default 240, at least 48)"},
+                    keys,
+                    {"--fail-dimms", "LIST",
+                     "the two distinct DIMMs to lose (default 0,1), or the "
+                     "one DIMM to lose twice with --refail (default 0)"},
+                    {"--refail", nullptr,
+                     "the second loss hits the rebuilding DIMM itself"}})},
+             {"replay", "<file.trace>", 1, rows({})}}};
+}
+
 }  // namespace
 }  // namespace tvarak::faultcli
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.empty())
-        return tvarak::faultcli::usage();
-    std::string cmd = args[0];
-    args.erase(args.begin());
-    if (cmd == "map")
-        return tvarak::faultcli::cmdMap(args);
-    if (cmd == "multi")
-        return tvarak::faultcli::cmdMulti(args);
-    if (cmd == "replay")
-        return tvarak::faultcli::cmdReplay(args);
-    return tvarak::faultcli::usage();
+    using namespace tvarak::faultcli;
+    tvarak::cli::Args a(faultTool(), argc, argv);
+    Command c = parseCommand(a);
+    if (a.command == "map")
+        return cmdMap(c);
+    if (a.command == "multi")
+        return cmdMulti(c);
+    return cmdReplay(c);
 }

@@ -21,9 +21,8 @@
  * or I/O error.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -31,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/cli.hh"
 #include "lint.hh"
 #include "sarif.hh"
 
@@ -38,16 +38,6 @@ namespace fs = std::filesystem;
 using namespace tvarak::lint;
 
 namespace {
-
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: tvarak-lint [--root DIR] [--sarif FILE] "
-                 "[--baseline FILE] [--jobs N] [paths...]\n"
-                 "       tvarak-lint --self-test FIXTURE_DIR\n");
-    return 2;
-}
 
 int
 selfTest(const fs::path &dir)
@@ -95,45 +85,26 @@ selfTest(const fs::path &dir)
 int
 main(int argc, char **argv)
 {
+    const tvarak::cli::Args a(
+        {"tvarak-lint", "",
+         {{"", "[paths...]", -1,
+           {{"--root", "DIR", "tree to scan (default: the working directory)"},
+            {"--sarif", "FILE", "also write a SARIF 2.1.0 report"},
+            {"--baseline", "FILE",
+             "findings to suppress (default: DIR/.lint-baseline)"},
+            {"--jobs", "N", "scan threads (default: hardware concurrency)"},
+            {"--self-test", "DIR",
+             "check DIR/goodroot is clean and DIR/badroot trips every "
+             "rule"}}}}},
+        argc, argv);
+    if (a.has("--self-test"))
+        return selfTest(a.value("--self-test"));
     Options opts;
-    opts.root = fs::current_path();
-    std::string sarifPath;
-    std::string baselinePath;
-
-    for (int i = 1; i < argc; i++) {
-        std::string arg = argv[i];
-        if (arg == "--root") {
-            if (++i >= argc)
-                return usage();
-            opts.root = argv[i];
-        } else if (arg == "--sarif") {
-            if (++i >= argc)
-                return usage();
-            sarifPath = argv[i];
-        } else if (arg == "--baseline") {
-            if (++i >= argc)
-                return usage();
-            baselinePath = argv[i];
-        } else if (arg == "--jobs") {
-            if (++i >= argc)
-                return usage();
-            char *end = nullptr;
-            opts.jobs = std::strtoul(argv[i], &end, 10);
-            if (end == argv[i] || *end != '\0')
-                return usage();
-        } else if (arg == "--self-test") {
-            if (++i >= argc)
-                return usage();
-            return selfTest(argv[i]);
-        } else if (arg == "-h" || arg == "--help") {
-            usage();
-            return 0;
-        } else if (arg.rfind("-", 0) == 0) {
-            return usage();
-        } else {
-            opts.paths.push_back(arg);
-        }
-    }
+    opts.root = a.value("--root", fs::current_path().string());
+    opts.paths = a.positional;
+    opts.jobs = a.number("--jobs", 0, 0, SIZE_MAX);
+    std::string sarifPath = a.value("--sarif");
+    std::string baselinePath = a.value("--baseline");
 
     if (!fs::is_directory(opts.root)) {
         std::fprintf(stderr, "tvarak-lint: no such directory: %s\n",

@@ -20,3 +20,6 @@ expect_exit(2 --root ${FIXTURES}/goodroot --baseline ${FIXTURES}/absent)
 # Unknown flag / missing operand: usage error.
 expect_exit(2 --bogus-flag)
 expect_exit(2 --root)
+# A sign or an overflow is a usage error, not a wrapped thread count.
+expect_exit(2 --jobs -1 --root ${FIXTURES}/goodroot)
+expect_exit(2 --jobs 18446744073709551616 --root ${FIXTURES}/goodroot)

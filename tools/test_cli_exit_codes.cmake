@@ -1,8 +1,9 @@
-# Usage-error contract of tvarak-trace, tvarak-fault and the benches:
-# malformed numbers, values outside a flag's range, unknown names and
-# flags, hostile trace files and unwritable reports exit 2, before any
-# simulation starts. Driven by ctest (cli_exit_codes); needs -DTRACE=,
-# -DFAULT=, -DBENCH= (the bench binary directory) and -DSRC=.
+# Usage-error contract of tvarak-trace, tvarak-fault and the benches
+# (src/harness/cli.hh): malformed numbers, values outside a flag's
+# range, unknown names and flags, a second copy of a flag, hostile
+# trace files and unwritable reports exit 2, before any simulation
+# starts; --help exits 0. Driven by ctest (cli_exit_codes); needs
+# -DTRACE=, -DFAULT=, -DBENCH= (the bench binary directory) and -DSRC=.
 
 function(expect_exit code)
     execute_process(COMMAND ${ARGN}
@@ -21,6 +22,11 @@ expect_exit(2 ${TRACE} record nosuch t.trace)
 # Signs and overflow are malformed too, not wrapped into a huge value.
 expect_exit(2 ${FAULT} multi --seed -1 --ops 0)
 expect_exit(2 ${FAULT} multi --seed 18446744073709551616 --ops 0)
+# A second copy of a flag that is not repeatable.
+expect_exit(2 ${FAULT} map --seed 1 --seed 7)
+# --help prints the usage on stdout, in every tool.
+expect_exit(0 ${TRACE} --help)
+expect_exit(0 ${FAULT} --help)
 # The 4 MiB campaign pool holds at most 26214 keys.
 expect_exit(2 ${FAULT} map --seed 1 --keys 26215)
 expect_exit(2 ${FAULT} multi --seed 1 --keys 26215)
@@ -42,6 +48,10 @@ file(REMOVE ${missing})
 expect_exit(2 ${TRACE} info ${garbage})
 expect_exit(2 ${TRACE} info ${truncated})
 expect_exit(2 ${TRACE} replay ${garbage})
+# --verify rebuilds a canned workload from the trace's name; this
+# trace's name ("stream") names none, so exit before replaying.
+expect_exit(2 ${TRACE} replay ${SRC}/tests/golden/stream.trace
+            --design Tvarak --verify)
 expect_exit(2 ${FAULT} replay ${garbage} --seed 1)
 expect_exit(2 ${FAULT} replay ${missing} --seed 1)
 # Designs that cannot keep writing through a DIMM loss, unknown or
@@ -72,6 +82,12 @@ endforeach()
 expect_exit(2 ${BENCH}/bench_table1 --design no-such)
 expect_exit(2 ${BENCH}/bench_table1 --scale 0)
 expect_exit(2 ${BENCH}/bench_table1 --jobs abc)
+# A leading space or a sign is malformed, not a wrapped 2^64-1.
+expect_exit(2 ${BENCH}/bench_table3 --scale " -1")
+expect_exit(2 ${BENCH}/bench_table3 --jobs " -1")
+expect_exit(2 ${BENCH}/bench_table3 --scale +3)
+# Every value flag takes --flag=v as well as --flag v.
+expect_exit(0 ${BENCH}/bench_table3 --scale=2)
 # bench_service: unknown names and fault schedules it cannot run.
 set(service ${BENCH}/bench_service)
 expect_exit(2 ${service} --design no-such)

@@ -22,7 +22,6 @@
  */
 
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <map>
 #include <unordered_set>
@@ -30,31 +29,14 @@
 
 #include "apps/stream/stream.hh"
 #include "apps/trees/tree_workload.hh"
+#include "harness/cli.hh"
 #include "redundancy/registry.hh"
 #include "redundancy/scheme.hh"
 #include "sim/log.hh"
 #include "trace/trace.hh"
 
-#include "../cli_args.hh"
-
 namespace tvarak::tracecli {
 namespace {
-
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage:\n"
-        "  tvarak-trace record <stream|ctree> <out.trace>"
-        " [--scale N] [--design <d>]\n"
-        "  tvarak-trace info   <file.trace>\n"
-        "  tvarak-trace stat   <file.trace>\n"
-        "  tvarak-trace replay <file.trace> --design <d> [--verify]\n"
-        "designs: %s\n",
-        registeredNameList().c_str());
-    return 2;
-}
 
 /** Is @p id one of the canned workloads cannedFactory builds? */
 bool
@@ -131,8 +113,8 @@ splitCannedName(const std::string &name, std::string &id,
         return false;
     id = name.substr(0, at);
     std::uint64_t v = 0;
-    if (!isCannedId(id) || !cli::parseU64(name.substr(at + 1), v) ||
-        v == 0) {
+    if (!isCannedId(id) ||
+        !cli::parseInteger(name.substr(at + 1), 1, SIZE_MAX, v)) {
         return false;
     }
     scale = static_cast<std::size_t>(v);
@@ -170,29 +152,16 @@ printRunResult(const RunResult &r)
 }
 
 int
-cmdRecord(const std::vector<std::string> &raw)
+cmdRecord(const cli::Args &a)
 {
-    cli::Args a;
-    if (!cli::parseArgs(raw, {"--scale", "--design"}, {}, a) ||
-        a.positional.size() != 2) {
-        return usage();
-    }
     const std::string &id = a.positional[0];
     const std::string &out = a.positional[1];
     if (!isCannedId(id)) {
-        std::fprintf(stderr,
-                     "tvarak-trace: unknown canned workload '%s' (want "
-                     "stream or ctree)\n",
-                     id.c_str());
-        return 2;
+        a.fail("unknown canned workload '" + id +
+               "' (want stream or ctree)");
     }
-    std::size_t scale = a.flags.count("--scale") != 0
-        ? cli::parseNumber("tvarak-trace", "--scale",
-                           a.flags.at("--scale"))
-        : 1;
-    const Design &design = a.flags.count("--design") != 0
-        ? cli::parseDesign("tvarak-trace", a.flags.at("--design"))
-        : *findDesign("baseline");
+    std::size_t scale = a.number("--scale", 1);
+    const Design &design = a.design(a.value("--design", "baseline"));
 
     std::string name = id + "@" + std::to_string(scale);
     inform("recording %s under %s ...", name.c_str(),
@@ -210,11 +179,8 @@ cmdRecord(const std::vector<std::string> &raw)
 }
 
 int
-cmdInfo(const std::vector<std::string> &raw)
+cmdInfo(const cli::Args &a)
 {
-    cli::Args a;
-    if (!cli::parseArgs(raw, {}, {}, a) || a.positional.size() != 1)
-        return usage();
     auto t = loadOrDie(a.positional[0]);
     std::printf("trace            %s\n", a.positional[0].c_str());
     std::printf("format version   %u\n", t->version);
@@ -238,11 +204,8 @@ cmdInfo(const std::vector<std::string> &raw)
 }
 
 int
-cmdStat(const std::vector<std::string> &raw)
+cmdStat(const cli::Args &a)
 {
-    cli::Args a;
-    if (!cli::parseArgs(raw, {}, {}, a) || a.positional.size() != 1)
-        return usage();
     auto t = loadOrDie(a.positional[0]);
 
     struct PerThread {
@@ -334,16 +297,19 @@ cmdStat(const std::vector<std::string> &raw)
 }
 
 int
-cmdReplay(const std::vector<std::string> &raw)
+cmdReplay(const cli::Args &a)
 {
-    cli::Args a;
-    if (!cli::parseArgs(raw, {"--design"}, {"--verify"}, a) ||
-        a.positional.size() != 1 || a.flags.count("--design") == 0) {
-        return usage();
-    }
+    if (!a.has("--design"))
+        a.fail("missing --design");
+    const Design &design = a.design(a.value("--design"));
     auto t = loadOrDie(a.positional[0]);
-    const Design &design =
-        cli::parseDesign("tvarak-trace", a.flags.at("--design"));
+    bool verify = a.has("--verify");
+    std::string id;
+    std::size_t scale = 1;
+    if (verify && !splitCannedName(t->workloadName, id, scale)) {
+        a.fail("--verify needs a trace of a canned workload (stream@N "
+               "or ctree@N), not '" + t->workloadName + "'");
+    }
 
     inform("replaying %s (%llu events) under %s ...",
            t->workloadName.c_str(),
@@ -352,13 +318,8 @@ cmdReplay(const std::vector<std::string> &raw)
     RunResult replayed = trace::replayExperiment(t, design);
     printRunResult(replayed);
 
-    if (a.flags.count("--verify") == 0)
+    if (!verify)
         return 0;
-    std::string id;
-    std::size_t scale = 1;
-    fatal_if(!splitCannedName(t->workloadName, id, scale),
-             "--verify needs a canned workload trace, not '%s'",
-             t->workloadName.c_str());
     inform("verifying against direct execution ...");
     RunResult direct =
         runExperiment(t->cfg, design, cannedFactory(id, scale));
@@ -372,24 +333,39 @@ cmdReplay(const std::vector<std::string> &raw)
     return 0;
 }
 
+/** The grammar of tvarak-trace. */
+cli::Tool
+traceTool()
+{
+    std::string designs = "; registered: " + registeredNameList() + ")";
+    return {"tvarak-trace", "",
+            {{"record", "<stream|ctree> <out.trace>", 2,
+              {{"--scale", "N", "workload size multiplier (default 1)"},
+               {"--design", "NAME",
+                "design to record under (default baseline" + designs}}},
+             {"info", "<file.trace>", 1, {}},
+             {"stat", "<file.trace>", 1, {}},
+             {"replay", "<file.trace>", 1,
+              {{"--design", "NAME",
+                "design to replay under (required" + designs},
+               {"--verify", nullptr,
+                "check the Stats against a direct run of the canned "
+                "workload"}}}}};
+}
+
 }  // namespace
 }  // namespace tvarak::tracecli
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.empty())
-        return tvarak::tracecli::usage();
-    std::string cmd = args[0];
-    args.erase(args.begin());
-    if (cmd == "record")
-        return tvarak::tracecli::cmdRecord(args);
-    if (cmd == "info")
-        return tvarak::tracecli::cmdInfo(args);
-    if (cmd == "stat")
-        return tvarak::tracecli::cmdStat(args);
-    if (cmd == "replay")
-        return tvarak::tracecli::cmdReplay(args);
-    return tvarak::tracecli::usage();
+    using namespace tvarak::tracecli;
+    tvarak::cli::Args a(traceTool(), argc, argv);
+    if (a.command == "record")
+        return cmdRecord(a);
+    if (a.command == "info")
+        return cmdInfo(a);
+    if (a.command == "stat")
+        return cmdStat(a);
+    return cmdReplay(a);
 }
