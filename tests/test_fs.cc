@@ -85,6 +85,42 @@ TEST_F(FsTest, MapInstallsClChecksums)
     EXPECT_EQ(at_rest[0], 0x5a);
 }
 
+TEST_F(FsTest, MapWritesEverySlotAndUnmapZeroesIt)
+{
+    // Every DAX-CL slot of a mapped page holds its line's checksum,
+    // and unmapping returns every slot to zero; the slot lines' device
+    // ECC stays consistent through both conversions.
+    constexpr std::size_t kPages = 3;
+    int fd = fs.create("slots", kPages * kPageBytes);
+    std::vector<std::uint8_t> data(kPages * kPageBytes);
+    Rng rng(11);
+    for (auto &b : data)
+        b = static_cast<std::uint8_t>(rng.next() | 1);
+    fs.pwrite(0, fd, 0, data.data(), data.size());
+    NvmArray &nvm = mem.nvmArray();
+    auto check_slots = [&](bool mapped) {
+        for (std::size_t p = 0; p < kPages; p++) {
+            for (std::size_t l = 0; l < kLinesPerPage; l++) {
+                Addr line = fs.filePage(fd, p) + l * kLineBytes;
+                Addr slot = mem.layout().daxClCsumAddr(line);
+                std::uint8_t bytes[kLineBytes];
+                nvm.rawRead(line, bytes, kLineBytes);
+                std::uint64_t stored = 0;
+                nvm.rawRead(slot, &stored, kChecksumBytes);
+                EXPECT_EQ(stored, mapped ? lineChecksum(bytes) : 0u)
+                    << "page " << p << " line " << l;
+                EXPECT_TRUE(nvm.dimm(nvm.dimmOf(slot))
+                                .eccCheck(nvm.mediaAddrOf(slot)))
+                    << "page " << p << " line " << l;
+            }
+        }
+    };
+    fs.daxMap(fd);
+    check_slots(true);
+    fs.daxUnmap(fd);
+    check_slots(false);
+}
+
 TEST_F(FsTest, UnmapRestoresPageChecksums)
 {
     int fd = fs.create("f", 4 * kPageBytes);

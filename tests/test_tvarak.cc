@@ -276,6 +276,47 @@ TEST_F(TvarakFaults, RecoveryUnderNaivePageChecksums)
     EXPECT_GE(mem->stats().corruptionsDetected, 1u);
 }
 
+TEST(TvarakCoherence, ControllersShareOneParityLine)
+{
+    // A page is 64 lines, so with 12 LLC banks the same line of
+    // neighbouring pages sits 4 banks apart: the lines of one stripe
+    // row write back through different controllers, which all update
+    // the row's one parity line. The directory must recall and
+    // invalidate it from controller to controller, and the parity
+    // must come out right.
+    constexpr std::size_t kPages = 8;  // file size, in pages
+    constexpr std::size_t kRows = 8;   // stripe rows written
+    SimConfig cfg = test::smallConfig();
+    cfg.cores = 4;
+    cfg.llcBanks = 12;
+    MemorySystem mem(cfg, DesignKind::Tvarak);
+    DaxFs fs(mem);
+    int fd = fs.create("row", kPages * kPageBytes);
+    Addr base = fs.daxMap(fd);
+    Layout &layout = mem.layout();
+    std::vector<std::size_t> row;  // file pages of the first stripe
+    for (std::size_t p = 0; p < kPages; p++) {
+        if (layout.stripeOf(fs.filePage(fd, p)) ==
+            layout.stripeOf(fs.filePage(fd, 0)))
+            row.push_back(p);
+    }
+    ASSERT_GE(row.size(), 2u);
+    mem.stats().reset();
+    for (int round = 0; round < 3; round++) {
+        for (std::size_t l = 0; l < kRows; l++) {
+            for (std::size_t i = 0; i < row.size(); i++) {
+                Addr a = base + row[i] * kPageBytes + l * kLineBytes;
+                mem.write64(static_cast<int>(i), a,
+                            (round + 1) * 1000 + l * 10 + i);
+            }
+        }
+        mem.flushAll();
+        EXPECT_EQ(fs.verifyParity(), 0u) << "round " << round;
+    }
+    EXPECT_EQ(fs.scrub(false), 0u);
+    EXPECT_EQ(mem.stats().redundancyInvalidations, 166u);
+}
+
 //
 // Structural checks
 //
