@@ -7,7 +7,8 @@
  * (src/service/sweep.hh), printing the latency table, the
  * knee-of-the-curve summary, and — with --json — a deterministic
  * results/bench_service.json (no timestamps: the same seed must
- * produce a byte-identical file, which CI checks with cmp).
+ * produce a byte-identical file, which the service_fault_reports
+ * ctest pins against tests/golden/service/).
  *
  * Designs are resolved through the registry and keyed by cliName, so
  * the Fig-9 tvarak variants can be swept side by side; the default

@@ -3,7 +3,7 @@
 #
 # Mirrors the CI matrix (.github/workflows/ci.yml):
 #   1. RelWithDebInfo build with -Werror, full ctest run
-#   2. ASan+UBSan build, full ctest run
+#   2. ASan+UBSan build with -D_GLIBCXX_ASSERTIONS, full ctest run
 #   3. tvarak-lint (every rule + SARIF determinism) + fixture self-test
 #   4. clang-tidy (skipped with a notice if not installed)
 #
@@ -25,10 +25,10 @@ cmake --build build-check -j"$(nproc)"
 ctest --test-dir build-check --output-on-failure -j"$(nproc)"
 
 if [ "$FAST" = 0 ]; then
-    echo "== [2/4] ASan+UBSan build =="
+    echo "== [2/4] ASan+UBSan build (bounds-checked libstdc++) =="
     cmake -B build-asan "${GEN[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DTVARAK_WERROR=ON "-DTVARAK_SANITIZE=address;undefined" \
-        >/dev/null
+        -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS >/dev/null
     cmake --build build-asan -j"$(nproc)"
     ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 else

@@ -11,6 +11,9 @@ namespace tvarak {
 
 namespace {
 
+/** One page's DAX-CL slots, contiguous in the checksum region. */
+constexpr std::size_t kDaxClSlotBytes = kLinesPerPage * kChecksumBytes;
+
 std::uint64_t
 load64(const std::uint8_t *p)
 {
@@ -124,42 +127,59 @@ TvarakEngine::redLineAccessUncached(Addr raddr, bool write,
     return demand ? lat : 0;
 }
 
-void
-TvarakEngine::recallOwner(Addr raddr, std::size_t exceptCtrl)
+Cache::Line &
+TvarakEngine::homeLine(Addr raddr)
 {
-    auto it = directory_.find(raddr);
-    if (it == directory_.end() || it->second.owner < 0)
+    Cache::Line *home = llcRedPartitions_[homeBank(raddr)].probe(raddr);
+    panic_if(home == nullptr, "inclusion violated for redundancy line");
+    return *home;
+}
+
+void
+TvarakEngine::recallOwner(Cache::Line &home, std::size_t exceptCtrl)
+{
+    if (home.owner < 0)
         return;
-    auto owner = static_cast<std::size_t>(it->second.owner);
+    auto owner = static_cast<std::size_t>(home.owner);
     if (owner == exceptCtrl)
         return;
-    Cache::Line *line = ctrlCaches_[owner].probe(raddr);
+    Cache::Line *line = ctrlCaches_[owner].probe(home.addr);
     panic_if(line == nullptr, "directory owner lost the line");
     // M -> S: push the dirty data down to the (inclusive) LLC copy.
-    Cache &home_cache = llcRedPartitions_[homeBank(raddr)];
-    Cache::Line *home = home_cache.probe(raddr);
-    panic_if(home == nullptr, "inclusion violated for redundancy line");
-    std::memcpy(home_cache.dataOf(*home),
-                ctrlCaches_[owner].dataOf(*line), kLineBytes);
-    home->dirty = home->dirty || line->dirty;
+    std::memcpy(homeData(home), ctrlCaches_[owner].dataOf(*line),
+                kLineBytes);
+    home.dirty = home.dirty || line->dirty;
     line->dirty = false;
-    it->second.owner = -1;
+    home.owner = -1;
     stats_.redundancyInvalidations++;
 }
 
 void
-TvarakEngine::invalidateOtherSharers(std::size_t ctrl, Addr raddr)
+TvarakEngine::invalidateOtherSharers(std::size_t ctrl, Cache::Line &home)
 {
-    DirEntry &e = directory_[raddr];
     for (std::size_t c = 0; c < banks_; c++) {
-        if (c == ctrl || !(e.sharers & (1u << c)))
+        if (c == ctrl || !(home.sharers & (1u << c)))
             continue;
         // Owned copies were recalled before we got here.
-        ctrlCaches_[c].invalidate(raddr);
+        ctrlCaches_[c].invalidate(home.addr);
         stats_.redundancyInvalidations++;
     }
-    e.sharers = 1u << ctrl;
-    e.owner = static_cast<std::int8_t>(ctrl);
+    home.sharers = 1u << ctrl;
+    home.owner = static_cast<std::int8_t>(ctrl);
+}
+
+void
+TvarakEngine::dropRedLine(Addr raddr)
+{
+    Cache &part = llcRedPartitions_[homeBank(raddr)];
+    Cache::Line *home = part.probe(raddr);
+    if (home == nullptr)
+        return;  // inclusion: no controller holds it either
+    for (std::size_t c = 0; c < banks_; c++) {
+        if (home->sharers & (1u << c))
+            ctrlCaches_[c].invalidate(raddr);
+    }
+    part.invalidate(*home);
 }
 
 void
@@ -167,22 +187,13 @@ TvarakEngine::handleCtrlVictim(std::size_t ctrl, const Cache::Victim &victim)
 {
     if (!victim.valid)
         return;
-    auto it = directory_.find(victim.addr);
-    if (it != directory_.end()) {
-        it->second.sharers &= ~(1u << ctrl);
-        if (it->second.owner == static_cast<std::int8_t>(ctrl))
-            it->second.owner = -1;
-        if (it->second.sharers == 0)
-            directory_.erase(it);
-    }
+    Cache::Line &home = homeLine(victim.addr);
+    home.sharers &= ~(1u << ctrl);
+    if (home.owner == static_cast<std::int8_t>(ctrl))
+        home.owner = -1;
     if (victim.dirty) {
-        Cache &home_cache = llcRedPartitions_[homeBank(victim.addr)];
-        Cache::Line *home = home_cache.probe(victim.addr);
-        panic_if(home == nullptr,
-                 "inclusion violated on controller eviction");
-        std::memcpy(home_cache.dataOf(*home), victim.data.data(),
-                    kLineBytes);
-        home->dirty = true;
+        std::memcpy(homeData(home), victim.data.data(), kLineBytes);
+        home.dirty = true;
     }
 }
 
@@ -194,24 +205,21 @@ TvarakEngine::handleLlcRedVictim(const Cache::Victim &victim)
     auto data = victim.data;
     bool dirty = victim.dirty;
     // Back-invalidate controller copies (inclusive hierarchy); a dirty
-    // owner copy supersedes the LLC data.
-    auto it = directory_.find(victim.addr);
-    if (it != directory_.end()) {
-        if (it->second.owner >= 0) {
-            auto owner = static_cast<std::size_t>(it->second.owner);
-            Cache::Line *line = ctrlCaches_[owner].probe(victim.addr);
-            panic_if(line == nullptr, "directory owner lost the line");
-            std::memcpy(data.data(), ctrlCaches_[owner].dataOf(*line),
-                        kLineBytes);
-            dirty = dirty || line->dirty;
+    // owner copy supersedes the LLC data. The victim carries the
+    // line's directory entry.
+    if (victim.owner >= 0) {
+        auto owner = static_cast<std::size_t>(victim.owner);
+        Cache::Line *line = ctrlCaches_[owner].probe(victim.addr);
+        panic_if(line == nullptr, "directory owner lost the line");
+        std::memcpy(data.data(), ctrlCaches_[owner].dataOf(*line),
+                    kLineBytes);
+        dirty = dirty || line->dirty;
+    }
+    for (std::size_t c = 0; c < banks_; c++) {
+        if (victim.sharers & (1u << c)) {
+            ctrlCaches_[c].invalidate(victim.addr);
+            stats_.redundancyInvalidations++;
         }
-        for (std::size_t c = 0; c < banks_; c++) {
-            if (it->second.sharers & (1u << c)) {
-                ctrlCaches_[c].invalidate(victim.addr);
-                stats_.redundancyInvalidations++;
-            }
-        }
-        directory_.erase(it);
     }
     if (dirty) {
         if (nvm_.writeBlocked(victim.addr)) {
@@ -223,28 +231,6 @@ TvarakEngine::handleLlcRedVictim(const Cache::Victim &victim)
     }
 }
 
-Cache::Line *
-TvarakEngine::fillRedLine(std::size_t ctrl, Addr raddr,
-                          const std::uint8_t *data)
-{
-    // Fill the LLC partition first (inclusive backing)...
-    Cache &home = llcRedPartitions_[homeBank(raddr)];
-    if (home.probe(raddr) == nullptr) {
-        Cache::Victim victim;
-        Cache::Line &l = home.insert(raddr, victim);
-        handleLlcRedVictim(victim);
-        std::memcpy(home.dataOf(l), data, kLineBytes);
-    }
-    // ...then the on-controller cache.
-    Cache::Victim victim;
-    Cache::Line &line = ctrlCaches_[ctrl].insert(raddr, victim);
-    handleCtrlVictim(ctrl, victim);
-    std::memcpy(ctrlCaches_[ctrl].dataOf(line), data, kLineBytes);
-    DirEntry &e = directory_[raddr];
-    e.sharers |= 1u << ctrl;
-    return &line;
-}
-
 Cycles
 TvarakEngine::redLineAccess(std::size_t ctrl, Addr raddr, bool write,
                             std::uint8_t *buf, bool demand)
@@ -254,7 +240,9 @@ TvarakEngine::redLineAccess(std::size_t ctrl, Addr raddr, bool write,
 
     Cycles cycles = params_.cacheLatency;
     stats_.tvarakCacheAccesses++;
-    Cache::Line *line = ctrlCaches_[ctrl].probe(raddr);
+    Cache &cache = ctrlCaches_[ctrl];
+    Cache::Line *line = cache.probe(raddr);
+    Cache::Line *home = nullptr;
     if (line != nullptr) {
         stats_.tvarakEnergy += params_.cacheHitEnergy;
     } else {
@@ -262,35 +250,46 @@ TvarakEngine::redLineAccess(std::size_t ctrl, Addr raddr, bool write,
         stats_.tvarakCacheMisses++;
 
         // Probe the (inclusive) LLC way-partition at the home bank,
-        // recalling any dirty copy from another controller first.
-        recallOwner(raddr, ctrl);
+        // recalling any dirty copy from another controller first; on
+        // a miss, fill it from NVM.
         stats_.llcAccesses++;
         cycles += cfg_.llcBank.latency;
-        Cache &home = llcRedPartitions_[homeBank(raddr)];
-        Cache::Line *home_line = home.probe(raddr);
+        Cache &part = llcRedPartitions_[homeBank(raddr)];
+        home = part.probe(raddr);
         std::uint8_t fill[kLineBytes];
-        if (home_line != nullptr) {
+        if (home != nullptr) {
+            recallOwner(*home, ctrl);
             stats_.llcEnergy += cfg_.llcBank.hitEnergy;
-            home.touch(*home_line);
-            std::memcpy(fill, home.dataOf(*home_line), kLineBytes);
+            part.touch(*home);
+            std::memcpy(fill, part.dataOf(*home), kLineBytes);
         } else {
             stats_.llcEnergy += cfg_.llcBank.missEnergy;
             stats_.llcMisses++;
             classifyRedNvmAccess(raddr);
-            Cycles lat = nvm_.access(raddr, false, fill, true);
-            cycles += lat;
+            cycles += nvm_.access(raddr, false, fill, true);
+            Cache::Victim victim;
+            home = &part.insert(raddr, victim);
+            handleLlcRedVictim(victim);
+            std::memcpy(part.dataOf(*home), fill, kLineBytes);
         }
-        line = fillRedLine(ctrl, raddr, fill);
+        // ...then the on-controller cache.
+        Cache::Victim victim;
+        line = &cache.insert(raddr, victim);
+        handleCtrlVictim(ctrl, victim);
+        std::memcpy(cache.dataOf(*line), fill, kLineBytes);
+        home->sharers |= 1u << ctrl;
     }
-    ctrlCaches_[ctrl].touch(*line);
+    cache.touch(*line);
 
     if (write) {
-        recallOwner(raddr, ctrl);
-        invalidateOtherSharers(ctrl, raddr);
-        std::memcpy(ctrlCaches_[ctrl].dataOf(*line), buf, kLineBytes);
+        if (home == nullptr)
+            home = &homeLine(raddr);
+        recallOwner(*home, ctrl);
+        invalidateOtherSharers(ctrl, *home);
+        std::memcpy(cache.dataOf(*line), buf, kLineBytes);
         line->dirty = true;
     } else {
-        std::memcpy(buf, ctrlCaches_[ctrl].dataOf(*line), kLineBytes);
+        std::memcpy(buf, cache.dataOf(*line), kLineBytes);
     }
     return demand ? cycles : 0;
 }
@@ -299,18 +298,18 @@ void
 TvarakEngine::peekRedLine(Addr raddr, std::uint8_t *out)
 {
     if (redundancyCaching_) {
-        auto it = directory_.find(raddr);
-        if (it != directory_.end() && it->second.owner >= 0) {
-            auto owner = static_cast<std::size_t>(it->second.owner);
-            Cache::Line *line = ctrlCaches_[owner].probe(raddr);
+        // Inclusion: a line no home partition holds is uncached, and
+        // a modified controller copy supersedes its home line.
+        Cache &part = llcRedPartitions_[homeBank(raddr)];
+        if (Cache::Line *home = part.probe(raddr)) {
+            if (home->owner < 0) {
+                std::memcpy(out, part.dataOf(*home), kLineBytes);
+                return;
+            }
+            Cache &owner = ctrlCaches_[static_cast<std::size_t>(home->owner)];
+            Cache::Line *line = owner.probe(raddr);
             panic_if(line == nullptr, "directory owner lost the line");
-            std::memcpy(out, ctrlCaches_[owner].dataOf(*line),
-                        kLineBytes);
-            return;
-        }
-        Cache &home_cache = llcRedPartitions_[homeBank(raddr)];
-        if (Cache::Line *home = home_cache.probe(raddr)) {
-            std::memcpy(out, home_cache.dataOf(*home), kLineBytes);
+            std::memcpy(out, owner.dataOf(*line), kLineBytes);
             return;
         }
     }
@@ -445,10 +444,10 @@ TvarakEngine::updateRedundancy(std::size_t bank, Addr nvmAddr,
     switch (source) {
       case DiffSource::Stored: {
         Cache &part = diffPartitions_[bank];
-        if (part.probe(nvmAddr) != nullptr) {
+        if (Cache::Line *diff = part.probe(nvmAddr)) {
             stats_.llcAccesses++;
             stats_.llcEnergy += cfg_.llcBank.hitEnergy;
-            part.invalidate(nvmAddr);
+            part.invalidate(*diff);
         } else {
             // Diffs enabled but this line's diff is gone (races with
             // map-time invalidation); model the old-data re-read.
@@ -607,20 +606,13 @@ TvarakEngine::reconstructFromParity(Addr nvmAddr, std::uint8_t *out)
 void
 TvarakEngine::invalidateRedLinesOfDimm(std::size_t dimm)
 {
-    std::vector<Addr> doomed;
-    auto collect = [&](Cache::Line &line) {
-        if (nvm_.dimmOf(line.addr) == dimm)
-            doomed.push_back(line.addr);
-    };
-    for (auto &c : ctrlCaches_)
-        c.forEachLine(collect);
-    for (auto &p : llcRedPartitions_)
-        p.forEachLine(collect);
-    for (Addr a : doomed) {
-        for (auto &c : ctrlCaches_)
-            c.invalidate(a);
-        llcRedPartitions_[homeBank(a)].invalidate(a);
-        directory_.erase(a);
+    // Inclusion: the home partitions hold every cached redundancy
+    // line, and each home line names the controllers sharing it.
+    for (auto &part : llcRedPartitions_) {
+        part.forEachLine([&](Cache::Line &home) {
+            if (nvm_.dimmOf(home.addr) == dimm)
+                dropRedLine(home.addr);
+        });
     }
 }
 
@@ -683,18 +675,13 @@ TvarakEngine::flushRedundancy()
         ctrlCaches_[c].forEachLine([&](Cache::Line &line) {
             if (!line.dirty)
                 return;
-            Cache &home_cache = llcRedPartitions_[homeBank(line.addr)];
-            Cache::Line *home = home_cache.probe(line.addr);
-            panic_if(home == nullptr, "inclusion violated in flush");
-            std::memcpy(home_cache.dataOf(*home),
-                        ctrlCaches_[c].dataOf(line), kLineBytes);
-            home->dirty = true;
+            Cache::Line &home = homeLine(line.addr);
+            std::memcpy(homeData(home), ctrlCaches_[c].dataOf(line),
+                        kLineBytes);
+            home.dirty = true;
             line.dirty = false;
-            auto it = directory_.find(line.addr);
-            if (it != directory_.end() &&
-                it->second.owner == static_cast<std::int8_t>(c)) {
-                it->second.owner = -1;
-            }
+            if (home.owner == static_cast<std::int8_t>(c))
+                home.owner = -1;
         });
     }
     for (auto &part : llcRedPartitions_) {
@@ -728,52 +715,43 @@ TvarakEngine::dropCleanState()
     }
     for (auto &p : diffPartitions_)
         p.reset();
-    directory_.clear();
+}
+
+void
+TvarakEngine::writeDaxClSlots(Addr nvmPage, const std::uint8_t *slots)
+{
+    panic_if(pageOffset(nvmPage) != 0, "unaligned page");
+    // One raw write covers the page's 8 checksum lines, so the device
+    // computes 8 line ECCs instead of one per slot. Stale cached
+    // copies of those lines must not survive.
+    Addr first = layout_.daxClCsumAddr(nvmPage);
+    nvm_.rawWrite(first, slots, kDaxClSlotBytes);
+    for (Addr line = first; line < first + kDaxClSlotBytes;
+         line += kLineBytes)
+        dropRedLine(line);
 }
 
 void
 TvarakEngine::initDaxClChecksums(Addr nvmPage)
 {
-    panic_if(pageOffset(nvmPage) != 0, "unaligned page");
     // Software (the file system) writes these at dax-map time; the
     // cost is part of mapping, not of steady-state execution, so the
-    // writes are untimed. Stale cached copies of the affected checksum
-    // lines must not survive.
+    // writes are untimed.
     std::uint8_t page[kPageBytes];
     nvm_.rawRead(nvmPage, page, kPageBytes);
+    std::uint8_t slots[kDaxClSlotBytes];
     for (std::size_t l = 0; l < kLinesPerPage; l++) {
-        Addr data_line = nvmPage + l * kLineBytes;
-        Addr entry = layout_.daxClCsumAddr(data_line);
-        std::uint64_t csum = lineChecksum(page + l * kLineBytes);
-        std::uint8_t bytes[kChecksumBytes];
-        store64(bytes, csum);
-        nvm_.rawWrite(entry, bytes, kChecksumBytes);
+        store64(slots + l * kChecksumBytes,
+                lineChecksum(page + l * kLineBytes));
     }
-    for (std::size_t l = 0; l < kLinesPerPage; l += kChecksumsPerLine) {
-        Addr csum_line = layout_.daxClCsumLine(nvmPage + l * kLineBytes);
-        for (std::size_t c = 0; c < banks_; c++)
-            ctrlCaches_[c].invalidate(csum_line);
-        llcRedPartitions_[homeBank(csum_line)].invalidate(csum_line);
-        directory_.erase(csum_line);
-    }
+    writeDaxClSlots(nvmPage, slots);
 }
 
 void
 TvarakEngine::clearDaxClChecksums(Addr nvmPage)
 {
-    panic_if(pageOffset(nvmPage) != 0, "unaligned page");
-    std::uint8_t zeros[kChecksumBytes] = {};
-    for (std::size_t l = 0; l < kLinesPerPage; l++) {
-        Addr entry = layout_.daxClCsumAddr(nvmPage + l * kLineBytes);
-        nvm_.rawWrite(entry, zeros, kChecksumBytes);
-    }
-    for (std::size_t l = 0; l < kLinesPerPage; l += kChecksumsPerLine) {
-        Addr csum_line = layout_.daxClCsumLine(nvmPage + l * kLineBytes);
-        for (std::size_t c = 0; c < banks_; c++)
-            ctrlCaches_[c].invalidate(csum_line);
-        llcRedPartitions_[homeBank(csum_line)].invalidate(csum_line);
-        directory_.erase(csum_line);
-    }
+    const std::uint8_t zeros[kDaxClSlotBytes] = {};
+    writeDaxClSlots(nvmPage, zeros);
 }
 
 }  // namespace tvarak

@@ -10,7 +10,9 @@
  *    are modelled by a 2-cycle range-match charge);
  *  - per-bank 4 KB on-controller redundancy caches, kept coherent
  *    between controllers with a MESI-style directory and backed
- *    inclusively by per-bank LLC redundancy way-partitions;
+ *    inclusively by per-bank LLC redundancy way-partitions; each
+ *    line's directory entry (sharer mask, owner) lives in its home
+ *    partition line;
  *  - per-bank LLC data-diff way-partitions;
  *  - the verification engine (every NVM->LLC fill of a DAX line) and
  *    the update engine (every LLC->NVM writeback of a DAX line);
@@ -35,7 +37,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "checksum/gf256.hh"
@@ -220,19 +221,29 @@ class TvarakEngine
     Cycles redLineAccessUncached(Addr raddr, bool write, std::uint8_t *buf,
                                  bool demand);
 
-    /** Fill @p raddr into LLC partition + controller cache; returns
-     *  pointer to the controller-cache line. */
-    Cache::Line *fillRedLine(std::size_t ctrl, Addr raddr,
-                             const std::uint8_t *data);
+    /** @p raddr's line in its home LLC partition, which inclusion
+     *  guarantees while any controller holds it. */
+    Cache::Line &homeLine(Addr raddr);
+    /** Payload of @p home, a line of its home partition. */
+    std::uint8_t *homeData(Cache::Line &home)
+    {
+        return llcRedPartitions_[homeBank(home.addr)].dataOf(home);
+    }
+    /** Drop @p raddr from its home partition and every controller
+     *  sharing it (no writeback). */
+    void dropRedLine(Addr raddr);
 
     /** Evict handling for controller-cache and LLC-partition victims. */
     void handleCtrlVictim(std::size_t ctrl, const Cache::Victim &victim);
     void handleLlcRedVictim(const Cache::Victim &victim);
 
-    /** MESI bookkeeping: make @p ctrl the exclusive owner of @p raddr. */
-    void invalidateOtherSharers(std::size_t ctrl, Addr raddr);
+    /** MESI bookkeeping: make @p ctrl the exclusive owner of @p home. */
+    void invalidateOtherSharers(std::size_t ctrl, Cache::Line &home);
     /** Pull a dirty copy (if any) down to the LLC partition. */
-    void recallOwner(Addr raddr, std::size_t exceptCtrl);
+    void recallOwner(Cache::Line &home, std::size_t exceptCtrl);
+
+    /** Store @p slots as @p nvmPage's DAX-CL slots (untimed). */
+    void writeDaxClSlots(Addr nvmPage, const std::uint8_t *slots);
 
     /** Compute + store the page-granular checksum (naive mode). */
     void naivePageChecksumUpdate(std::size_t bank, Addr nvmAddr,
@@ -264,17 +275,11 @@ class TvarakEngine
 
     /** Per-controller on-controller redundancy caches. */
     std::vector<Cache> ctrlCaches_;
-    /** Per-bank LLC redundancy way-partitions. */
+    /** Per-bank LLC redundancy way-partitions; each line's sharers
+     *  and owner are the controller caches' directory entry. */
     std::vector<Cache> llcRedPartitions_;
     /** Per-bank LLC data-diff way-partitions. */
     std::vector<Cache> diffPartitions_;
-
-    /** Directory over controller caches: sharer mask + owner. */
-    struct DirEntry {
-        std::uint32_t sharers = 0;
-        std::int8_t owner = -1;
-    };
-    std::unordered_map<Addr, DirEntry> directory_;
 };
 
 }  // namespace tvarak

@@ -75,12 +75,15 @@ Cache::insert(Addr lineAddr, Victim &victim)
     // two-scans-plus-stamp-walk shape paid three full traversals —
     // each dragging the ways' full Line structs in — where this pays
     // one over two dense arrays. Victim choice is unchanged: first
-    // free way wins, else min stamp with first index on ties.
+    // free way wins, else min stamp with first index on ties. Only
+    // valid ways' stamps are read, which is why invalidate() and
+    // reset() need not clear stamps.
     // (probe() stays on the vectorized kernels::findTag — a single
     // exact-match scan with no side lookups.)
     std::size_t base = setOf(lineAddr) * ways_;
     std::size_t freeWay = ways_;
     std::size_t lru = base;
+    std::uint64_t lruStamp = ~std::uint64_t{0};
     for (std::size_t w = 0; w < ways_; w++) {
         std::uint64_t t = tags_[base + w];
         panic_if(t == lineAddr, "%s: double insert of %llx",
@@ -89,7 +92,8 @@ Cache::insert(Addr lineAddr, Victim &victim)
         if (t == Line::kNoTag) {
             if (freeWay == ways_)
                 freeWay = w;
-        } else if (stamps_[base + w] < stamps_[lru]) {
+        } else if (stamps_[base + w] < lruStamp) {
+            lruStamp = stamps_[base + w];
             lru = base + w;
         }
     }
@@ -103,6 +107,8 @@ Cache::insert(Addr lineAddr, Victim &victim)
         victim.owner = line.owner;
         if (!data_.empty())
             victim.data = data_[target];
+    } else {
+        valid_++;
     }
     line.addr = lineAddr;
     line.dirty = false;
@@ -118,34 +124,27 @@ Cache::insert(Addr lineAddr, Victim &victim)
 void
 Cache::invalidate(Addr lineAddr)
 {
-    if (Line *line = probe(lineAddr)) {
-        line->addr = Line::kNoTag;
-        line->dirty = false;
-        line->sharers = 0;
-        line->owner = -1;
-        tags_[indexOf(*line)] = Line::kNoTag;
-    }
+    if (valid_ == 0)
+        return;
+    if (Line *line = probe(lineAddr))
+        invalidate(*line);
+}
+
+void
+Cache::invalidate(Line &line)
+{
+    panic_if(!line.valid(), "%s: invalidate of an invalid line",
+             name_.c_str());
+    tags_[indexOf(line)] = Line::kNoTag;
+    line = Line{};
+    valid_--;
 }
 
 void
 Cache::reset()
 {
-    for (auto &line : lines_)
-        line = Line{};
-    std::fill(tags_.begin(), tags_.end(), Line::kNoTag);
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    stamp_ = 0;
-}
-
-std::size_t
-Cache::validLines() const
-{
-    std::size_t n = 0;
-    for (const auto &line : lines_) {
-        if (line.valid())
-            n++;
-    }
-    return n;
+    // Only valid ways hold state: insert() reads no other way's stamp.
+    forEachLine([this](Line &line) { invalidate(line); });
 }
 
 }  // namespace tvarak

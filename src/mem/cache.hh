@@ -40,10 +40,11 @@ class Cache
         static constexpr Addr kNoTag = ~Addr{0};
 
         Addr addr = kNoTag;       //!< full line address (tag+index)
-        /** Private-cache presence (used by the LLC): bit per core. */
+        /** Presence bit per core (LLC) or per TVARAK controller
+         *  (LLC redundancy partition, whose lines are the directory). */
         std::uint32_t sharers = 0;
         bool dirty = false;
-        /** Core whose private hierarchy may hold a dirtier copy. */
+        /** Controller holding a modified copy (partition lines). */
         std::int8_t owner = -1;
 
         bool valid() const { return addr != kNoTag; }
@@ -96,23 +97,28 @@ class Cache
 
     /** Drop @p lineAddr if present (no writeback). */
     void invalidate(Addr lineAddr);
+    /** Drop @p line, which the caller probed (no writeback). */
+    void invalidate(Line &line);
 
     /** Payload bytes of @p line. @pre carriesData. */
     std::uint8_t *dataOf(Line &line);
     const std::uint8_t *dataOf(const Line &line) const;
 
-    /** Apply @p fn to every valid line (flush walks). Template so the
-     *  visitor inlines — no std::function indirection per line. */
+    /** Apply @p fn to every valid line in index order (flush walks),
+     *  reading the dense tag mirror; free on an empty cache. Template
+     *  so the visitor inlines — no std::function indirection. */
     template <typename Fn>
     void forEachLine(Fn &&fn)
     {
-        for (auto &line : lines_) {
-            if (line.valid())
-                fn(line);
+        if (valid_ == 0)
+            return;
+        for (std::size_t i = 0; i < tags_.size(); i++) {
+            if (tags_[i] != Line::kNoTag)
+                fn(lines_[i]);
         }
     }
 
-    /** Drop every line. */
+    /** Drop every line; costs nothing on an empty cache. */
     void reset();
 
     std::size_t sets() const { return sets_; }
@@ -121,8 +127,8 @@ class Cache
     bool carriesData() const { return !data_.empty(); }
     const std::string &name() const { return name_; }
 
-    /** Count of currently valid lines (tests). */
-    std::size_t validLines() const;
+    /** Count of currently valid lines. */
+    std::size_t validLines() const { return valid_; }
 
   private:
     std::size_t setOf(Addr lineAddr) const
@@ -144,6 +150,7 @@ class Cache
     std::size_t ways_;
     std::size_t setDivisor_;
     std::uint64_t stamp_ = 0;
+    std::size_t valid_ = 0;  //!< count of valid lines
     /** Compact tag mirror of lines_[i].addr: the probe scan array. */
     std::vector<Addr> tags_;
     /** Compact LRU stamps, parallel to tags_: the insert() victim

@@ -349,7 +349,7 @@ MemorySystem::accessLine(int tid, Addr vaddr, std::size_t offset,
                 bool dirty = victim.dirty;
                 if (Cache::Line *v1 = l1.probe(victim.addr)) {
                     dirty = dirty || v1->dirty;
-                    l1.invalidate(victim.addr);
+                    l1.invalidate(*v1);
                 }
                 if (dirty) {
                     std::size_t vbank = bankOf(victim.addr);
@@ -461,14 +461,14 @@ MemorySystem::llcEnsure(int core, Addr paddr, bool isNvm, bool isWrite,
             if (Cache::Line *p = l1_[c].probe(paddr)) {
                 dirty = dirty || p->dirty;
                 if (isWrite)
-                    l1_[c].invalidate(paddr);
+                    l1_[c].invalidate(*p);
                 else
                     p->dirty = false;
             }
             if (Cache::Line *p = l2_[c].probe(paddr)) {
                 dirty = dirty || p->dirty;
                 if (isWrite)
-                    l2_[c].invalidate(paddr);
+                    l2_[c].invalidate(*p);
                 else
                     p->dirty = false;
             }
@@ -595,11 +595,11 @@ MemorySystem::llcHandleVictim(std::size_t bank,
                 continue;
             if (Cache::Line *p = l1_[c].probe(victim.addr)) {
                 dirty = dirty || p->dirty;
-                l1_[c].invalidate(victim.addr);
+                l1_[c].invalidate(*p);
             }
             if (Cache::Line *p = l2_[c].probe(victim.addr)) {
                 dirty = dirty || p->dirty;
-                l2_[c].invalidate(victim.addr);
+                l2_[c].invalidate(*p);
             }
         }
     }

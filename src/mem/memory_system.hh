@@ -161,7 +161,8 @@ class MemorySystem
      *  from the NVM media through the firmware. The current-value
      *  store is re-synced with the media page by page, copying only
      *  the pages that either side changed since the last re-sync
-     *  (see curChanged_). */
+     *  (see curChanged_). Host cost: the changed pages plus, per
+     *  non-empty cache, a tag-mirror scan and its valid lines. */
     void dropCaches();
 
     /**
