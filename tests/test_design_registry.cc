@@ -178,18 +178,53 @@ TEST(DesignRegistry, CoverageMatchesPaperTableOne)
     }
 }
 
-TEST(DesignRegistry, VilambDesignVendsItsAsyncScheme)
+TEST(DesignRegistry, EveryBuiltinVendsItsSchemeAndShape)
 {
+    // Each built-in's transaction-commit scheme (nullptr: it vends
+    // none) and the array shape adjustConfig leaves in a default
+    // config: only the Reed-Solomon designs pin theirs.
+    const SimConfig def;
+    const std::size_t dimms = def.nvm.dimms;
+    const std::size_t parity = def.nvm.parityDimms;
+    struct Row {
+        const char *name;
+        const char *scheme;
+        std::size_t dimms, parityDimms;
+    };
+    const Row rows[] = {
+        {"baseline", nullptr, dimms, parity},
+        {"tvarak", nullptr, dimms, parity},
+        {"txb-object-csums", "TxB-Object-Csums", dimms, parity},
+        {"txb-page-csums", "TxB-Page-Csums", dimms, parity},
+        {"vilamb", "Vilamb-Async", dimms, parity},
+        {"tvarak-naive", nullptr, dimms, parity},
+        {"tvarak-no-red-cache", nullptr, dimms, parity},
+        {"tvarak-no-diffs", nullptr, dimms, parity},
+        {"tvarak-rs4+2", nullptr, 6, 2},
+        {"tvarak-rs6+2", nullptr, 8, 2},
+    };
+    ASSERT_EQ(std::size(rows), std::size(kBuiltins));
     SimConfig cfg;
     cfg.cores = 2;
     cfg.nvm.dimmBytes = 16ull << 20;
-    MemorySystem mem(cfg, designOf(DesignKind::Vilamb));
-    auto scheme = mem.designObj().makeScheme(mem);
-    ASSERT_NE(scheme, nullptr);
-    EXPECT_EQ(std::string(scheme->name()), "Vilamb-Async");
-    // The scheme-less designs vend nothing.
-    EXPECT_EQ(designOf(DesignKind::Baseline).makeScheme(mem), nullptr);
-    EXPECT_EQ(designOf(DesignKind::Tvarak).makeScheme(mem), nullptr);
+    for (std::size_t i = 0; i < std::size(rows); i++) {
+        const Row &r = rows[i];
+        EXPECT_STREQ(r.name, kBuiltins[i]);
+        const Design *d = findDesign(r.name);
+        ASSERT_NE(d, nullptr) << r.name;
+        SimConfig adjusted;
+        d->adjustConfig(adjusted);
+        EXPECT_EQ(adjusted.nvm.dimms, r.dimms) << r.name;
+        EXPECT_EQ(adjusted.nvm.parityDimms, r.parityDimms) << r.name;
+        MemorySystem mem(cfg, *d);
+        auto scheme = d->makeScheme(mem);
+        if (r.scheme == nullptr) {
+            EXPECT_EQ(scheme, nullptr) << r.name;
+        } else {
+            ASSERT_NE(scheme, nullptr) << r.name;
+            EXPECT_STREQ(scheme->name(), r.scheme) << r.name;
+        }
+    }
 }
 
 // ------------------------------------------------------------------
