@@ -35,6 +35,7 @@ TvarakEngine::TvarakEngine(const SimConfig &cfg, const Coverage &coverage,
                            NvmArray &nvm, Stats &stats)
     : cfg_(cfg),
       params_(cfg.tvarak),
+      keepsParity_(coverage.controllerKeepsParity()),
       daxClChecksums_(coverage.mappedChecksum == MappedChecksum::DaxCl),
       redundancyCaching_(coverage.redundancyCaching),
       dataDiffs_(coverage.dataDiffs),
@@ -81,7 +82,8 @@ TvarakEngine::registerDaxPage(Addr nvmPage)
 {
     panic_if(!layout_.isDataAddr(nvmPage) || pageOffset(nvmPage) != 0,
              "bad DAX page registration");
-    daxPages_[pageNumber(nvmPage - layout_.dataBase())] = true;
+    if (keepsParity_)
+        daxPages_[pageNumber(nvmPage - layout_.dataBase())] = true;
 }
 
 void
@@ -413,12 +415,6 @@ TvarakEngine::captureDiff(std::size_t bank, Addr nvmAddr)
     return std::nullopt;
 }
 
-bool
-TvarakEngine::hasDiff(std::size_t bank, Addr nvmAddr) const
-{
-    return dataDiffs_ && diffPartitions_[bank].probe(nvmAddr) != nullptr;
-}
-
 void
 TvarakEngine::dropDiff(std::size_t bank, Addr nvmAddr)
 {
@@ -429,7 +425,7 @@ TvarakEngine::dropDiff(std::size_t bank, Addr nvmAddr)
 void
 TvarakEngine::updateRedundancy(std::size_t bank, Addr nvmAddr,
                                const std::uint8_t *newData,
-                               DiffSource source)
+                               bool forcedByDiffEviction)
 {
     stats_.redundancyUpdates++;
 
@@ -440,29 +436,21 @@ TvarakEngine::updateRedundancy(std::size_t bank, Addr nvmAddr,
 
     // The diff value is always (old media content XOR new data); only
     // *where it comes from* differs between configurations, and that
-    // is what the timing model charges for.
-    switch (source) {
-      case DiffSource::Stored: {
-        Cache &part = diffPartitions_[bank];
-        if (Cache::Line *diff = part.probe(nvmAddr)) {
+    // is what the timing model charges for. An evicted diff was handed
+    // over by captureDiff and is already accounted.
+    if (!forcedByDiffEviction) {
+        Cache::Line *diff = dataDiffs_
+            ? diffPartitions_[bank].probe(nvmAddr)
+            : nullptr;
+        if (diff != nullptr) {
             stats_.llcAccesses++;
             stats_.llcEnergy += cfg_.llcBank.hitEnergy;
-            part.invalidate(*diff);
+            diffPartitions_[bank].invalidate(*diff);
         } else {
-            // Diffs enabled but this line's diff is gone (races with
-            // map-time invalidation); model the old-data re-read.
+            // No stored diff (diffs disabled / exclusive LLC): the
+            // old data must be re-read from NVM at writeback time.
             nvm_.charge(nvmAddr, false, false);
         }
-        break;
-      }
-      case DiffSource::EvictedDiff:
-        // Handed to us by captureDiff's eviction; already accounted.
-        break;
-      case DiffSource::None:
-        // No diff storage (diffs disabled / exclusive LLC): the old
-        // data must be re-read from NVM at writeback time.
-        nvm_.charge(nvmAddr, false, false);
-        break;
     }
     std::uint8_t old[kLineBytes];
     bool degraded = nvm_.anyDegraded();

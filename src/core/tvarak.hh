@@ -61,15 +61,20 @@ class TvarakEngine
 
     /** @name Software management interface (used by DaxFs). */
     /**@{*/
-    /** Register @p nvmPage (global, page-aligned) as DAX mapped. */
+    /** Register @p nvmPage (global, page-aligned) as DAX mapped.
+     *  Ignored unless the design's controller keeps the parity: the
+     *  engine acts on no line of any other design. */
     void registerDaxPage(Addr nvmPage);
     /** Unregister; caller must have flushed + downgraded checksums. */
     void unregisterDaxPage(Addr nvmPage);
-    /** Is this NVM-global address inside a registered DAX page? */
+    /** Is this NVM-global address inside a registered DAX page? The
+     *  one per-line gate: true iff the controller keeps the line's
+     *  redundancy in the at-rest (media) world. */
     bool isDaxData(Addr nvmAddr) const;
     /**@}*/
 
-    /** @name Hooks called by MemorySystem at the LLC/NVM boundary. */
+    /** @name Called by MemorySystem at the LLC/NVM boundary, each
+     *  (bar dropDiff) only for lines that isDaxData() admits. */
     /**@{*/
     /**
      * A DAX line was just read from NVM into the LLC: verify it
@@ -98,26 +103,21 @@ class TvarakEngine
      */
     std::optional<Addr> captureDiff(std::size_t bank, Addr nvmAddr);
 
-    /** How the diff for a writeback was obtained (timing only). */
-    enum class DiffSource {
-        Stored,        //!< taken from the diff partition
-        EvictedDiff,   //!< handed over by a diff-partition eviction
-        None,          //!< not stored: old data re-read from NVM
-    };
-
     /**
      * A dirty DAX line is being written back from the LLC to NVM:
      * update its DAX-CL-checksum (or page checksum) and the
      * cross-DIMM parity. The caller writes @p newData to NVM
-     * immediately afterwards.
+     * immediately afterwards. @p forcedByDiffEviction: captureDiff()
+     * evicted this line's diff and handed it over, so the diff costs
+     * nothing more; otherwise it comes from the diff partition, or
+     * without a stored diff the old data is re-read from NVM.
      */
     void updateRedundancy(std::size_t bank, Addr nvmAddr,
-                          const std::uint8_t *newData, DiffSource source);
+                          const std::uint8_t *newData,
+                          bool forcedByDiffEviction);
 
     /** Drop any stored diff for @p nvmAddr (line evicted/invalidated). */
     void dropDiff(std::size_t bank, Addr nvmAddr);
-    /** True iff a diff is stored for @p nvmAddr. */
-    bool hasDiff(std::size_t bank, Addr nvmAddr) const;
     /**@}*/
 
     /**
@@ -260,6 +260,8 @@ class TvarakEngine
 
     const SimConfig &cfg_;
     TvarakParams params_;
+    /** The design's controller keeps the parity (DAX registry on). */
+    const bool keepsParity_;
     /** The Fig 9 ladder, fixed by the design's Coverage. */
     const bool daxClChecksums_;
     const bool redundancyCaching_;

@@ -71,7 +71,6 @@ MemorySystem::MemorySystem(const SimConfig &cfg, const Design &design)
     std::size_t vpages = layout_.allocatableDataPages();
     daxPageTable_.assign(vpages, kUnmapped);
     lastMissLine_.assign(cfg_.cores, ~std::uint64_t{0});
-    ctrl_ = design.makeController(*this);
 }
 
 MemorySystem::MemorySystem(const SimConfig &cfg, DesignKind kind)
@@ -422,16 +421,7 @@ MemorySystem::llcEnsure(int core, Addr paddr, bool isNvm, bool isWrite,
         stats_.llcEnergy += cfg_.llcBank.missEnergy;
         stats_.llcMisses++;
         if (isNvm) {
-            Addr g = nvmGlobal(paddr);
-            std::uint8_t media[kLineBytes];
-            if (nvm_.anyDegraded() && nvm_.lineDegraded(g)) {
-                lat += degradedFill(bank, g, media);
-            } else {
-                lat += nvm_.access(g, false, media, isRedundancyAddr(g));
-                ctrl_->fillLine(bank, g, media);
-            }
-            // The fill's view becomes the architectural value.
-            setCurrentLine(g, media);
+            lat += fillNvmLine(bank, nvmGlobal(paddr));
         } else {
             stats_.dramReads++;
             stats_.dramEnergy += cfg_.dram.accessEnergy;
@@ -514,15 +504,7 @@ MemorySystem::prefetchLine(Addr paddr, bool isNvm)
     stats_.llcEnergy += cfg_.llcBank.missEnergy;
     stats_.llcMisses++;
     if (isNvm) {
-        Addr g = nvmGlobal(paddr);
-        std::uint8_t media[kLineBytes];
-        if (nvm_.anyDegraded() && nvm_.lineDegraded(g)) {
-            degradedFill(bank, g, media);
-        } else {
-            nvm_.access(g, false, media, isRedundancyAddr(g));
-            ctrl_->fillLine(bank, g, media);
-        }
-        setCurrentLine(g, media);
+        fillNvmLine(bank, nvmGlobal(paddr));
     } else {
         stats_.dramReads++;
         stats_.dramEnergy += cfg_.dram.accessEnergy;
@@ -532,6 +514,23 @@ MemorySystem::prefetchLine(Addr paddr, bool isNvm)
     llcHandleVictim(bank, victim);
 }
 
+Cycles
+MemorySystem::fillNvmLine(std::size_t bank, Addr g)
+{
+    std::uint8_t media[kLineBytes];
+    Cycles lat;
+    if (nvm_.anyDegraded() && nvm_.lineDegraded(g)) {
+        lat = degradedFill(bank, g, media);
+    } else {
+        lat = nvm_.access(g, false, media, isRedundancyAddr(g));
+        if (engine_.isDaxData(g))
+            engine_.verifyFill(bank, g, media);
+    }
+    // The fill's view becomes the architectural value.
+    setCurrentLine(g, media);
+    return lat;
+}
+
 void
 MemorySystem::markLlcDirty(std::size_t bank, Cache::Line &line)
 {
@@ -539,7 +538,9 @@ MemorySystem::markLlcDirty(std::size_t bank, Cache::Line &line)
     if (!isNvmPhys(line.addr))
         return;
     Addr g = nvmGlobal(line.addr);
-    if (auto evicted = ctrl_->captureDirty(bank, g)) {
+    if (!engine_.isDaxData(g))
+        return;
+    if (auto evicted = engine_.captureDiff(bank, g)) {
         // A diff-partition eviction forces an early writeback of the
         // victim's data line; the data line itself stays cached, clean.
         Cache::Line *victim_line =
@@ -560,7 +561,8 @@ MemorySystem::writebackNvmLine(std::size_t bank, Addr paddr,
              "NVM line %llx is cached but in the lost set",
              static_cast<unsigned long long>(g));
     std::uint8_t *cur = funcPtr(paddr, true);
-    ctrl_->writeback(bank, g, cur, forcedByDiffEviction);
+    if (engine_.isDaxData(g))
+        engine_.updateRedundancy(bank, g, cur, forcedByDiffEviction);
     if (nvm_.anyDegraded() && nvm_.writeBlocked(g)) {
         // The home DIMM is dead: the data write is dropped — but the
         // redundancy update above already absorbed the new value into
@@ -604,12 +606,10 @@ MemorySystem::llcHandleVictim(std::size_t bank,
         }
     }
     if (isNvmPhys(victim.addr)) {
-        Addr g = nvmGlobal(victim.addr);
-        if (dirty) {
+        if (dirty)
             writebackNvmLine(bank, victim.addr, false);
-        } else {
-            ctrl_->dropVictim(bank, g);
-        }
+        else
+            engine_.dropDiff(bank, nvmGlobal(victim.addr));
     } else if (dirty) {
         stats_.dramWrites++;
         stats_.dramEnergy += cfg_.dram.accessEnergy;
@@ -656,16 +656,10 @@ MemorySystem::replaceDimm(std::size_t dimm)
     nvm_.replaceDimm(dimm);
 }
 
-bool
-MemorySystem::controllerKeepsLine(Addr nvmAddr) const
-{
-    return coverage().controllerKeepsParity() && engine_.isDaxData(nvmAddr);
-}
-
 void
 MemorySystem::memberLine(Addr nvmAddr, std::uint8_t *out, bool charge)
 {
-    if (controllerKeepsLine(nvmAddr)) {
+    if (engine_.isDaxData(nvmAddr)) {
         // At-rest-world designs maintain parity against media values.
         nvm_.rawRead(nvmAddr, out, kLineBytes);
     } else {
@@ -681,8 +675,6 @@ MemorySystem::memberLine(Addr nvmAddr, std::uint8_t *out, bool charge)
 bool
 MemorySystem::stripeIsEngineWorld(Addr line)
 {
-    if (!coverage().controllerKeepsParity())
-        return false;
     std::vector<Addr> pages;
     layout_.stripeDataPages(line, pages);
     for (Addr p : pages) {
@@ -743,7 +735,8 @@ MemorySystem::degradedFill(std::size_t bank, Addr g, std::uint8_t *media)
     // the demand path (per-member occupancy and energy are charged by
     // reconstructLine above).
     Cycles lat = nvm_.readLatency();
-    lat += ctrl_->verifyReconstructed(bank, g, media);
+    if (engine_.isDaxData(g))
+        lat += engine_.verifyReconstructed(bank, g, media);
     return lat;
 }
 

@@ -4,14 +4,15 @@
  * run against, and the integration point for TVARAK.
  *
  * Topology (Table III): per-core L1 and L2, a shared inclusive banked
- * LLC, DRAM, and the NVM array. The active redundancy design (a
- * `Design` from redundancy/registry.hh) reserves the LLC way
- * partitions its coverage asks for and installs a `MemController`
- * hook at the LLC<->NVM boundary: under the TVARAK design that hook
- * verifies every NVM->LLC fill of a DAX line, updates redundancy on
- * every LLC->NVM writeback and captures diffs on clean->dirty LLC
- * transitions. Designs without controller hardware install the null
- * controller and get the full LLC (software schemes issue their
+ * LLC, DRAM, and the NVM array. The active redundancy design (a row
+ * of the design table in redundancy/registry.hh) reserves the LLC way
+ * partitions its coverage asks for. At the LLC<->NVM boundary this
+ * class calls the TVARAK engine for every line of a registered DAX
+ * page (TvarakEngine::isDaxData): the engine verifies each NVM->LLC
+ * fill, captures a diff on each clean->dirty LLC transition and
+ * updates redundancy on each LLC->NVM writeback. Only designs whose
+ * controller keeps the parity register pages, so the others never
+ * enter the engine and get the full LLC (software schemes issue their
  * redundancy work as ordinary timed accesses).
  *
  * Functional model: caches carry tags/state for timing; *current*
@@ -265,6 +266,10 @@ class MemorySystem
     bool maybePrefetch(std::size_t core, Addr paddr, bool isNvm);
     /** Fill one line into the LLC without demand-latency charging. */
     void prefetchLine(Addr paddr, bool isNvm);
+    /** Read NVM line @p g for an LLC fill of bank @p bank (degraded
+     *  or verified by the engine) and install it as the current
+     *  value. @return the read's demand-path cycles. */
+    Cycles fillNvmLine(std::size_t bank, Addr g);
 
     /** Handle an eviction from an LLC data partition. */
     void llcHandleVictim(std::size_t bank, const Cache::Victim &victim);
@@ -272,11 +277,6 @@ class MemorySystem
     /** Degraded-mode fill of @p g: reconstruct instead of reading the
      *  dead DIMM. @return demand-path cycles. */
     Cycles degradedFill(std::size_t bank, Addr g, std::uint8_t *media);
-
-    /** The controller keeps @p nvmAddr's redundancy in the at-rest
-     *  (media) world: the design's controller keeps the parity and
-     *  the line is DAX-mapped. */
-    bool controllerKeepsLine(Addr nvmAddr) const;
 
     /** One stripe member's value for reconstruction (at-rest for
      *  controller-kept lines, current otherwise). */
@@ -290,10 +290,10 @@ class MemorySystem
     /** Re-derive current values of all degraded lines (cold caches). */
     void refreshDegradedCurrent();
 
-    /** Write one dirty NVM line back to media (controller update
-     *  hook). @p forcedByDiffEviction marks writebacks forced by a
-     *  diff-partition eviction (the controller uses the handed-over
-     *  diff instead of its stored one). */
+    /** Write one dirty NVM line back to media, updating redundancy
+     *  first for a controller-kept line. @p forcedByDiffEviction marks
+     *  writebacks forced by a diff-partition eviction (the controller
+     *  uses the handed-over diff instead of its stored one). */
     void writebackNvmLine(std::size_t bank, Addr paddr,
                           bool forcedByDiffEviction);
 
@@ -302,7 +302,6 @@ class MemorySystem
 
     SimConfig cfg_;
     const Design *design_;
-    std::unique_ptr<MemController> ctrl_;  //!< design's LLC/NVM hook
     Stats stats_;
     Layout layout_;
     RsCode code_;  //!< the stripe code; the engine holds a reference

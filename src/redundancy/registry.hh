@@ -1,14 +1,14 @@
 /**
  * @file
- * The pluggable redundancy-design layer.
+ * The design table.
  *
- * A `Design` owns one redundancy design's complete behaviour across
- * the simulator: the hardware-side `MemController` hook invoked by
- * MemorySystem at the LLC/NVM boundary (fill verification, writeback
- * redundancy update, diff capture, victim handling, degraded-read
- * participation), the software-side `RedundancyScheme` run at
- * transaction commit, and the `Coverage` value (paper Table I) that
- * DaxFs, the scrubber, the rebuild engine and the fault tool key off.
+ * A `Design` is one row: its names, the `Coverage` value (paper
+ * Table I) that MemorySystem, DaxFs, the scrubber, the rebuild engine
+ * and the fault tool key off, the software-side `RedundancyScheme` it
+ * runs at transaction commit (if any) and the NVM array shape it pins
+ * (if any). Where the coverage says the controller keeps the parity,
+ * the TVARAK engine acts on every line of a DAX-mapped page; no
+ * design carries code of its own.
  *
  * Designs live in a string-keyed registry that config, CLI, bench,
  * trace and fault tooling all resolve through: `--design vilamb`
@@ -16,15 +16,14 @@
  * `tvarak-*` designs whose coverage turns controller options off.
  *
  * This translation unit pair is the only place allowed to switch or
- * compare on `DesignKind` (lint rule R8): everything else dispatches
- * through the Design object.
+ * compare on `DesignKind` (lint rule R8): everything else reads the
+ * Design object.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,83 +34,6 @@ namespace tvarak {
 
 class MemorySystem;
 class RedundancyScheme;
-
-/**
- * Hardware hook a Design installs at the LLC/NVM boundary. The base
- * class is a concrete null object — every hook is a charge-free no-op,
- * which is exactly the memory-controller behaviour of the designs
- * without controller hardware (Baseline and the software schemes).
- *
- * All addresses are NVM-global line addresses (media offsets).
- */
-class MemController
-{
-  public:
-    virtual ~MemController() = default;
-
-    /**
-     * A line was just read from NVM media into the LLC. May verify
-     * and repair @p media in place. Verification overlaps data
-     * delivery (paper Section III-E), so it charges the loading
-     * thread no cycles.
-     */
-    virtual void fillLine(std::size_t bank, Addr nvmAddr,
-                          std::uint8_t *media)
-    {
-        (void)bank;
-        (void)nvmAddr;
-        (void)media;
-    }
-
-    /**
-     * An LLC line transitioned clean->dirty (or took new dirty data).
-     * @return the address of another line whose captured diff was
-     *         evicted to make room — the caller must write that line
-     *         back (forced writeback) and mark it clean.
-     */
-    virtual std::optional<Addr> captureDirty(std::size_t bank, Addr nvmAddr)
-    {
-        (void)bank;
-        (void)nvmAddr;
-        return std::nullopt;
-    }
-
-    /**
-     * A dirty line is being written back from the LLC to NVM media;
-     * @p newData is the 64 B about to land. @p forcedByDiffEviction is
-     * true when the writeback was forced by captureDirty() evicting
-     * this line's diff (the diff value is handed over in that case).
-     */
-    virtual void writeback(std::size_t bank, Addr nvmAddr,
-                           const std::uint8_t *newData,
-                           bool forcedByDiffEviction)
-    {
-        (void)bank;
-        (void)nvmAddr;
-        (void)newData;
-        (void)forcedByDiffEviction;
-    }
-
-    /** A (clean) LLC line was evicted; drop any per-line state. */
-    virtual void dropVictim(std::size_t bank, Addr nvmAddr)
-    {
-        (void)bank;
-        (void)nvmAddr;
-    }
-
-    /**
-     * A degraded read reconstructed @p media for @p nvmAddr; verify it
-     * if the design can. @return demand-path cycles.
-     */
-    virtual Cycles verifyReconstructed(std::size_t bank, Addr nvmAddr,
-                                       std::uint8_t *media)
-    {
-        (void)bank;
-        (void)nvmAddr;
-        (void)media;
-        return 0;
-    }
-};
 
 /** How a design detects at-rest corruption (keys the fault tool's
  *  detect/repair strategy). */
@@ -212,16 +134,36 @@ struct Coverage {
     }
 };
 
+/** The NVM array shape a design pins: @c dimms DIMMs, @c parityDimms
+ *  of them parity per stripe row. Zero DIMMs leaves the config's
+ *  shape as it is. */
+struct ArrayShape {
+    std::size_t dimms = 0;
+    std::size_t parityDimms = 0;
+};
+
+/** Builds a design's transaction-commit scheme for one machine. */
+using SchemeFactory =
+    std::unique_ptr<RedundancyScheme> (*)(MemorySystem &mem);
+
 /**
- * One redundancy design: the unified behaviour bundle behind a
- * registry name. Stateless and immutable — a single instance serves
- * every machine; per-machine state lives in the vended MemController
- * and RedundancyScheme objects.
+ * One redundancy design: one row of the design table, behind a
+ * registry name. Immutable — a single instance serves every machine;
+ * per-machine state lives in MemorySystem's TvarakEngine and in the
+ * vended RedundancyScheme.
  */
 class Design
 {
   public:
-    virtual ~Design() = default;
+    /** @p scheme null: no transaction-commit work. @p shape empty:
+     *  the design runs on the configured array. */
+    Design(DesignKind kind, std::string cliName, std::string displayName,
+           const Coverage &coverage, SchemeFactory scheme = nullptr,
+           ArrayShape shape = {})
+        : kind_(kind), cliName_(std::move(cliName)),
+          displayName_(std::move(displayName)), coverage_(coverage),
+          scheme_(scheme), shape_(shape)
+    {}
 
     Design(const Design &) = delete;
     Design &operator=(const Design &) = delete;
@@ -239,33 +181,23 @@ class Design
     const Coverage &coverage() const { return coverage_; }
 
     /**
-     * Force design-owned SimConfig fields (applied to MemorySystem's
-     * private config copy before anything reads it). The RS designs
-     * pin their array geometry here; the others leave the config
-     * untouched.
+     * Pin the design's array shape, if it has one, in @p cfg
+     * (MemorySystem's private config copy, before anything reads
+     * it). The RS designs own their geometry, so every harness gets
+     * a consistent n+k array just by naming the design.
      */
-    virtual void adjustConfig(SimConfig &cfg) const { (void)cfg; }
-
-    /** Hardware-side hook; the default is the null controller. */
-    virtual std::unique_ptr<MemController>
-    makeController(MemorySystem &mem) const;
+    void adjustConfig(SimConfig &cfg) const;
 
     /** Software-side scheme; nullptr = no transaction-commit work. */
-    virtual std::unique_ptr<RedundancyScheme>
-    makeScheme(MemorySystem &mem) const;
-
-  protected:
-    Design(DesignKind kind, std::string cliName, std::string displayName,
-           const Coverage &coverage)
-        : kind_(kind), cliName_(std::move(cliName)),
-          displayName_(std::move(displayName)), coverage_(coverage)
-    {}
+    std::unique_ptr<RedundancyScheme> makeScheme(MemorySystem &mem) const;
 
   private:
     DesignKind kind_;
     std::string cliName_;
     std::string displayName_;
     Coverage coverage_;
+    SchemeFactory scheme_;
+    ArrayShape shape_;
 };
 
 /** @name The design registry */

@@ -296,26 +296,20 @@ TEST(TraceInvariance, AblationVariantsActuallyAblate)
 // Registration invariants (mutating; keep these last in the file).
 // ------------------------------------------------------------------
 
-class NullTestDesign final : public Design
-{
-  public:
-    NullTestDesign(std::string cli, std::string display)
-        : Design(DesignKind::Baseline, std::move(cli),
-                 std::move(display), {})
-    {}
-};
-
 TEST(DesignRegistryMutation, DuplicateRegistrationDies)
 {
-    static NullTestDesign dupeCli("TVARAK", "Test-Dupe-A");
-    static NullTestDesign dupeDisplay("test-dupe-b", "txb-page-csums");
+    static const Design dupeCli(DesignKind::Baseline, "TVARAK",
+                                "Test-Dupe-A", {});
+    static const Design dupeDisplay(DesignKind::Baseline, "test-dupe-b",
+                                    "txb-page-csums", {});
     EXPECT_DEATH(registerDesign(&dupeCli), "collides");
     EXPECT_DEATH(registerDesign(&dupeDisplay), "collides");
 }
 
 TEST(DesignRegistryMutation, NewDesignsAppendInRegistrationOrder)
 {
-    static NullTestDesign extra("test-extra", "Test-Extra");
+    static const Design extra(DesignKind::Baseline, "test-extra",
+                              "Test-Extra", {});
     std::size_t before = allRegisteredDesigns().size();
     registerDesign(&extra);
     const auto &all = allRegisteredDesigns();

@@ -286,5 +286,24 @@ TEST(FsDesigns, ScrubSkipsUncoveredMappedFiles)
     EXPECT_EQ(fs.scrub(false), 0u);
 }
 
+TEST(FsDesigns, OnlyControllerDesignsRegisterMappedPages)
+{
+    // The engine's DAX registry is MemorySystem's one per-line gate
+    // into the controller: a mapped page joins it only under a design
+    // whose controller keeps the parity, and unmapping takes it out.
+    for (const Design *d : allRegisteredDesigns()) {
+        MemorySystem mem(test::smallConfig(), *d);
+        DaxFs fs(mem);
+        int fd = fs.create("gate", 2 * kPageBytes);
+        Addr page = fs.filePage(fd, 0);
+        fs.daxMap(fd);
+        EXPECT_EQ(mem.tvarak().isDaxData(page),
+                  d->coverage().controllerKeepsParity())
+            << d->cliName();
+        fs.daxUnmap(fd);
+        EXPECT_FALSE(mem.tvarak().isDaxData(page)) << d->cliName();
+    }
+}
+
 }  // namespace
 }  // namespace tvarak
