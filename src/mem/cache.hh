@@ -133,11 +133,7 @@ class Cache
   private:
     std::size_t setOf(Addr lineAddr) const
     {
-        auto n = lineNumber(lineAddr);
-        // Most caches are unbanked (divisor 1): skip the 64-bit
-        // divide on the hottest lookup path.
-        if (setDivisor_ != 1)
-            n /= setDivisor_;
+        auto n = lineNumber(lineAddr) / setDivisor_;
         return static_cast<std::size_t>(n) & (sets_ - 1);
     }
     std::size_t indexOf(const Line &line) const
