@@ -92,14 +92,6 @@ TvarakEngine::unregisterDaxPage(Addr nvmPage)
     daxPages_[pageNumber(nvmPage - layout_.dataBase())] = false;
 }
 
-bool
-TvarakEngine::isDaxData(Addr nvmAddr) const
-{
-    if (!layout_.isDataAddr(nvmAddr))
-        return false;
-    return daxPages_[pageNumber(nvmAddr - layout_.dataBase())];
-}
-
 std::size_t
 TvarakEngine::homeBank(Addr raddr) const
 {
@@ -413,13 +405,6 @@ TvarakEngine::captureDiff(std::size_t bank, Addr nvmAddr)
         return victim.addr;
     }
     return std::nullopt;
-}
-
-void
-TvarakEngine::dropDiff(std::size_t bank, Addr nvmAddr)
-{
-    if (dataDiffs_)
-        diffPartitions_[bank].invalidate(nvmAddr);
 }
 
 void

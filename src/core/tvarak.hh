@@ -70,7 +70,11 @@ class TvarakEngine
     /** Is this NVM-global address inside a registered DAX page? The
      *  one per-line gate: true iff the controller keeps the line's
      *  redundancy in the at-rest (media) world. */
-    bool isDaxData(Addr nvmAddr) const;
+    bool isDaxData(Addr nvmAddr) const
+    {
+        return layout_.isDataAddr(nvmAddr) &&
+            daxPages_[pageNumber(nvmAddr - layout_.dataBase())];
+    }
     /**@}*/
 
     /** @name Called by MemorySystem at the LLC/NVM boundary, each
@@ -117,7 +121,11 @@ class TvarakEngine
                           bool forcedByDiffEviction);
 
     /** Drop any stored diff for @p nvmAddr (line evicted/invalidated). */
-    void dropDiff(std::size_t bank, Addr nvmAddr);
+    void dropDiff(std::size_t bank, Addr nvmAddr)
+    {
+        if (dataDiffs_)
+            diffPartitions_[bank].invalidate(nvmAddr);
+    }
     /**@}*/
 
     /**
