@@ -4,7 +4,7 @@
  *
  * Cache is a *container*, not an agent: hierarchy logic (fills,
  * writebacks, inclusion, coherence) lives in MemorySystem and
- * TvarakController.
+ * TvarakEngine.
  *
  * Payload storage is optional: the application-data caches are
  * tag-only (functional values live in MemorySystem's current-value
