@@ -46,18 +46,24 @@ TvarakEngine::TvarakEngine(const SimConfig &cfg, const Coverage &coverage,
       banks_(cfg.llcBanks),
       daxPages_(layout.dataPages(), false)
 {
+    // Only the partitions the design's coverage reserves are built:
+    // every other design keeps all of its LLC ways for data.
     std::size_t llc_sets =
         cfg.llcBank.sizeBytes / (cfg.llcBank.ways * kLineBytes);
-    for (std::size_t b = 0; b < banks_; b++) {
-        ctrlCaches_.push_back(Cache::fromSize(
-            "tvarak-ctrl" + std::to_string(b), params_.cacheBytes,
-            params_.cacheWays, 1, true));
-        llcRedPartitions_.emplace_back(
-            "llc-red" + std::to_string(b), llc_sets,
-            params_.redundancyWays, banks_, true);
-        diffPartitions_.emplace_back("llc-diff" + std::to_string(b),
-                                     llc_sets, params_.diffWays,
-                                     banks_);
+    for (std::size_t b = 0; b < cfg.llcBanks; b++) {
+        if (redundancyCaching_) {
+            ctrlCaches_.push_back(Cache::fromSize(
+                "tvarak-ctrl" + std::to_string(b), params_.cacheBytes,
+                params_.cacheWays, 1, true));
+            llcRedPartitions_.emplace_back(
+                "llc-red" + std::to_string(b), llc_sets,
+                params_.redundancyWays, cfg.llcBanks, true);
+        }
+        if (dataDiffs_) {
+            diffPartitions_.emplace_back("llc-diff" + std::to_string(b),
+                                         llc_sets, params_.diffWays,
+                                         cfg.llcBanks);
+        }
     }
 }
 
@@ -95,7 +101,7 @@ TvarakEngine::unregisterDaxPage(Addr nvmPage)
 std::size_t
 TvarakEngine::homeBank(Addr raddr) const
 {
-    return static_cast<std::size_t>(lineNumber(raddr)) % banks_;
+    return static_cast<std::size_t>(banks_.mod(lineNumber(raddr)));
 }
 
 //
@@ -130,17 +136,18 @@ TvarakEngine::homeLine(Addr raddr)
 }
 
 void
-TvarakEngine::recallOwner(Cache::Line &home, std::size_t exceptCtrl)
+TvarakEngine::recallOwner(Addr raddr, Cache::Line &home,
+                          std::size_t exceptCtrl)
 {
     if (home.owner < 0)
         return;
     auto owner = static_cast<std::size_t>(home.owner);
     if (owner == exceptCtrl)
         return;
-    Cache::Line *line = ctrlCaches_[owner].probe(home.addr);
+    Cache::Line *line = ctrlCaches_[owner].probe(raddr);
     panic_if(line == nullptr, "directory owner lost the line");
     // M -> S: push the dirty data down to the (inclusive) LLC copy.
-    std::memcpy(homeData(home), ctrlCaches_[owner].dataOf(*line),
+    std::memcpy(homeData(raddr, home), ctrlCaches_[owner].dataOf(*line),
                 kLineBytes);
     home.dirty = home.dirty || line->dirty;
     line->dirty = false;
@@ -149,13 +156,14 @@ TvarakEngine::recallOwner(Cache::Line &home, std::size_t exceptCtrl)
 }
 
 void
-TvarakEngine::invalidateOtherSharers(std::size_t ctrl, Cache::Line &home)
+TvarakEngine::invalidateOtherSharers(std::size_t ctrl, Addr raddr,
+                                     Cache::Line &home)
 {
-    for (std::size_t c = 0; c < banks_; c++) {
+    for (std::size_t c = 0; c < ctrlCaches_.size(); c++) {
         if (c == ctrl || !(home.sharers & (1u << c)))
             continue;
         // Owned copies were recalled before we got here.
-        ctrlCaches_[c].invalidate(home.addr);
+        ctrlCaches_[c].invalidate(raddr);
         stats_.redundancyInvalidations++;
     }
     home.sharers = 1u << ctrl;
@@ -165,11 +173,13 @@ TvarakEngine::invalidateOtherSharers(std::size_t ctrl, Cache::Line &home)
 void
 TvarakEngine::dropRedLine(Addr raddr)
 {
+    if (llcRedPartitions_.empty())
+        return;  // no redundancy caching: nothing is cached
     Cache &part = llcRedPartitions_[homeBank(raddr)];
     Cache::Line *home = part.probe(raddr);
     if (home == nullptr)
         return;  // inclusion: no controller holds it either
-    for (std::size_t c = 0; c < banks_; c++) {
+    for (std::size_t c = 0; c < ctrlCaches_.size(); c++) {
         if (home->sharers & (1u << c))
             ctrlCaches_[c].invalidate(raddr);
     }
@@ -186,7 +196,8 @@ TvarakEngine::handleCtrlVictim(std::size_t ctrl, const Cache::Victim &victim)
     if (home.owner == static_cast<std::int8_t>(ctrl))
         home.owner = -1;
     if (victim.dirty) {
-        std::memcpy(homeData(home), victim.data.data(), kLineBytes);
+        std::memcpy(homeData(victim.addr, home), victim.data.data(),
+                    kLineBytes);
         home.dirty = true;
     }
 }
@@ -209,7 +220,7 @@ TvarakEngine::handleLlcRedVictim(const Cache::Victim &victim)
                     kLineBytes);
         dirty = dirty || line->dirty;
     }
-    for (std::size_t c = 0; c < banks_; c++) {
+    for (std::size_t c = 0; c < ctrlCaches_.size(); c++) {
         if (victim.sharers & (1u << c)) {
             ctrlCaches_[c].invalidate(victim.addr);
             stats_.redundancyInvalidations++;
@@ -252,7 +263,7 @@ TvarakEngine::redLineAccess(std::size_t ctrl, Addr raddr, bool write,
         home = part.probe(raddr);
         std::uint8_t fill[kLineBytes];
         if (home != nullptr) {
-            recallOwner(*home, ctrl);
+            recallOwner(raddr, *home, ctrl);
             stats_.llcEnergy += cfg_.llcBank.hitEnergy;
             part.touch(*home);
             std::memcpy(fill, part.dataOf(*home), kLineBytes);
@@ -278,8 +289,8 @@ TvarakEngine::redLineAccess(std::size_t ctrl, Addr raddr, bool write,
     if (write) {
         if (home == nullptr)
             home = &homeLine(raddr);
-        recallOwner(*home, ctrl);
-        invalidateOtherSharers(ctrl, *home);
+        recallOwner(raddr, *home, ctrl);
+        invalidateOtherSharers(ctrl, raddr, *home);
         std::memcpy(cache.dataOf(*line), buf, kLineBytes);
         line->dirty = true;
     } else {
@@ -583,8 +594,9 @@ TvarakEngine::invalidateRedLinesOfDimm(std::size_t dimm)
     // line, and each home line names the controllers sharing it.
     for (auto &part : llcRedPartitions_) {
         part.forEachLine([&](Cache::Line &home) {
-            if (nvm_.dimmOf(home.addr) == dimm)
-                dropRedLine(home.addr);
+            Addr raddr = part.addrOf(home);
+            if (nvm_.dimmOf(raddr) == dimm)
+                dropRedLine(raddr);
         });
     }
 }
@@ -644,12 +656,14 @@ TvarakEngine::flushRedundancy()
 {
     // Recall every owned line, then write back dirty LLC-partition
     // lines. Controller caches become clean copies.
-    for (std::size_t c = 0; c < banks_; c++) {
-        ctrlCaches_[c].forEachLine([&](Cache::Line &line) {
+    for (std::size_t c = 0; c < ctrlCaches_.size(); c++) {
+        Cache &ctrl = ctrlCaches_[c];
+        ctrl.forEachLine([&](Cache::Line &line) {
             if (!line.dirty)
                 return;
-            Cache::Line &home = homeLine(line.addr);
-            std::memcpy(homeData(home), ctrlCaches_[c].dataOf(line),
+            Addr raddr = ctrl.addrOf(line);
+            Cache::Line &home = homeLine(raddr);
+            std::memcpy(homeData(raddr, home), ctrl.dataOf(line),
                         kLineBytes);
             home.dirty = true;
             line.dirty = false;
@@ -661,11 +675,12 @@ TvarakEngine::flushRedundancy()
         part.forEachLine([&](Cache::Line &line) {
             if (!line.dirty)
                 return;
-            if (nvm_.writeBlocked(line.addr)) {
+            Addr raddr = part.addrOf(line);
+            if (nvm_.writeBlocked(raddr)) {
                 stats_.degradedWritesDropped++;
             } else {
-                classifyRedNvmAccess(line.addr);
-                nvm_.access(line.addr, true, part.dataOf(line), true);
+                classifyRedNvmAccess(raddr);
+                nvm_.access(raddr, true, part.dataOf(line), true);
             }
             line.dirty = false;
         });

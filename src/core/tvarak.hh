@@ -20,7 +20,8 @@
  *
  * The design's Coverage fixes the Fig 9 ladder when the engine is
  * built: page checksums instead of DAX-CL checksums, and redundancy
- * caching or data diffs turned off. With all three rungs down this
+ * caching or data diffs turned off. A rung that is off builds no
+ * cache or partition for it. With all three rungs down this
  * is the naive controller of Section III (page-granular checksums
  * that read the whole page, no redundancy caching, old-data reads
  * instead of diffs).
@@ -45,6 +46,7 @@
 #include "nvm/nvm.hh"
 #include "redundancy/registry.hh"
 #include "sim/config.hh"
+#include "sim/reciprocal.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -232,10 +234,10 @@ class TvarakEngine
     /** @p raddr's line in its home LLC partition, which inclusion
      *  guarantees while any controller holds it. */
     Cache::Line &homeLine(Addr raddr);
-    /** Payload of @p home, a line of its home partition. */
-    std::uint8_t *homeData(Cache::Line &home)
+    /** Payload of @p home, @p raddr's line in its home partition. */
+    std::uint8_t *homeData(Addr raddr, Cache::Line &home)
     {
-        return llcRedPartitions_[homeBank(home.addr)].dataOf(home);
+        return llcRedPartitions_[homeBank(raddr)].dataOf(home);
     }
     /** Drop @p raddr from its home partition and every controller
      *  sharing it (no writeback). */
@@ -245,10 +247,13 @@ class TvarakEngine
     void handleCtrlVictim(std::size_t ctrl, const Cache::Victim &victim);
     void handleLlcRedVictim(const Cache::Victim &victim);
 
-    /** MESI bookkeeping: make @p ctrl the exclusive owner of @p home. */
-    void invalidateOtherSharers(std::size_t ctrl, Cache::Line &home);
-    /** Pull a dirty copy (if any) down to the LLC partition. */
-    void recallOwner(Cache::Line &home, std::size_t exceptCtrl);
+    /** MESI bookkeeping: make @p ctrl the exclusive owner of @p home,
+     *  @p raddr's home line. */
+    void invalidateOtherSharers(std::size_t ctrl, Addr raddr,
+                                Cache::Line &home);
+    /** Pull a dirty copy (if any) of @p raddr down to @p home, its
+     *  line in the LLC partition. */
+    void recallOwner(Addr raddr, Cache::Line &home, std::size_t exceptCtrl);
 
     /** Store @p slots as @p nvmPage's DAX-CL slots (untimed). */
     void writeDaxClSlots(Addr nvmPage, const std::uint8_t *slots);
@@ -278,17 +283,21 @@ class TvarakEngine
     const RsCode &code_;
     NvmArray &nvm_;
     Stats &stats_;
-    std::size_t banks_;
+    /** LLC banks, one controller each: the home-bank interleave. */
+    Reciprocal banks_;
 
     /** DAX registry: bit per data-region page. */
     std::vector<bool> daxPages_;
 
-    /** Per-controller on-controller redundancy caches. */
+    /** Per-controller on-controller redundancy caches (empty without
+     *  redundancy caching). */
     std::vector<Cache> ctrlCaches_;
     /** Per-bank LLC redundancy way-partitions; each line's sharers
-     *  and owner are the controller caches' directory entry. */
+     *  and owner are the controller caches' directory entry (empty
+     *  without redundancy caching). */
     std::vector<Cache> llcRedPartitions_;
-    /** Per-bank LLC data-diff way-partitions. */
+    /** Per-bank LLC data-diff way-partitions (empty without data
+     *  diffs). */
     std::vector<Cache> diffPartitions_;
 };
 

@@ -37,6 +37,8 @@ MemorySystem::MemorySystem(const SimConfig &cfg, const Design &design)
       // possibly-temporary argument.
       nvm_(cfg_.nvm, cfg_, stats_),
       engine_(cfg_, design.coverage(), layout_, code_, nvm_, stats_),
+      cores_(cfg_.cores),
+      llcBanks_(cfg_.llcBanks),
       dram_(cfg_.dram.sizeBytes),
       nvmCur_(cfg_.nvm.dimms * cfg_.nvm.dimmBytes),
       curChanged_(nvmCur_.size()),
@@ -287,7 +289,7 @@ MemorySystem::compute(int tid, Cycles cycles)
         traceSink_->onCompute(tid, cycles);
     // Thread ids alias onto cores; work by two tids on one core
     // serializes, so accumulating per core is the fixed-work view.
-    stats_.threadCycles[static_cast<std::size_t>(tid) % l1_.size()] +=
+    stats_.threadCycles[cores_.mod(static_cast<std::size_t>(tid))] +=
         cycles;
 }
 
@@ -311,7 +313,7 @@ MemorySystem::accessLine(int tid, Addr vaddr, std::size_t offset,
                          std::size_t len, void *buf, bool isWrite)
 {
     Translation t = translateOrDie(vaddr);
-    auto core = static_cast<std::size_t>(tid) % l1_.size();
+    auto core = cores_.mod(static_cast<std::size_t>(tid));
     Cycles lat = 0;
 
     stats_.l1Accesses++;
@@ -375,7 +377,7 @@ MemorySystem::accessLine(int tid, Addr vaddr, std::size_t offset,
     // Functional data movement against the current-value store.
     // Cycles are charged straight to the already-resolved core —
     // going through compute(tid, ...) would redo the tid->core
-    // modulo on every single access.
+    // reduction on every single access.
     std::uint8_t *cur = funcPtr(t.paddr, t.isNvm);
     if (isWrite) {
         std::memcpy(cur + offset, buf, len);
@@ -535,19 +537,20 @@ void
 MemorySystem::markLlcDirty(std::size_t bank, Cache::Line &line)
 {
     line.dirty = true;
-    if (!isNvmPhys(line.addr))
+    Addr paddr = llc_[bank].addrOf(line);
+    if (!isNvmPhys(paddr))
         return;
-    Addr g = nvmGlobal(line.addr);
+    Addr g = nvmGlobal(paddr);
     if (!engine_.isDaxData(g))
         return;
     if (auto evicted = engine_.captureDiff(bank, g)) {
         // A diff-partition eviction forces an early writeback of the
         // victim's data line; the data line itself stays cached, clean.
-        Cache::Line *victim_line =
-            llc_[bank].probe(kNvmPhysBase + *evicted);
+        Addr victim_paddr = kNvmPhysBase + *evicted;
+        Cache::Line *victim_line = llc_[bank].probe(victim_paddr);
         panic_if(victim_line == nullptr || !victim_line->dirty,
                  "diff stored for a non-dirty LLC line");
-        writebackNvmLine(bank, victim_line->addr, true);
+        writebackNvmLine(bank, victim_paddr, true);
         victim_line->dirty = false;
     }
 }
@@ -644,8 +647,9 @@ MemorySystem::failDimm(std::size_t dimm)
         lost_->markRange(nvm_.globalAddrOf(dimm, m), kPageBytes);
     for (Cache &bank : llc_) {
         bank.forEachLine([&](Cache::Line &line) {
-            if (isNvmPhys(line.addr))
-                lost_->unmark(nvmGlobal(line.addr));
+            Addr paddr = bank.addrOf(line);
+            if (isNvmPhys(paddr))
+                lost_->unmark(nvmGlobal(paddr));
         });
     }
 }
@@ -860,25 +864,29 @@ MemorySystem::flushAll()
 {
     // Private caches first: propagate dirty bits down to the LLC so
     // diffs are captured through the normal path.
-    for (std::size_t c = 0; c < l1_.size(); c++) {
-        auto push_down = [&](Cache::Line &line) {
+    auto push_down = [&](Cache &cache) {
+        cache.forEachLine([&](Cache::Line &line) {
             if (!line.dirty)
                 return;
-            std::size_t bank = bankOf(line.addr);
-            Cache::Line *llc_line = llc_[bank].probe(line.addr);
+            Addr paddr = cache.addrOf(line);
+            std::size_t bank = bankOf(paddr);
+            Cache::Line *llc_line = llc_[bank].probe(paddr);
             panic_if(llc_line == nullptr, "LLC inclusion violated in flush");
             markLlcDirty(bank, *llc_line);
             line.dirty = false;
-        };
-        l1_[c].forEachLine(push_down);
-        l2_[c].forEachLine(push_down);
+        });
+    };
+    for (std::size_t c = 0; c < l1_.size(); c++) {
+        push_down(l1_[c]);
+        push_down(l2_[c]);
     }
     for (std::size_t b = 0; b < llc_.size(); b++) {
         llc_[b].forEachLine([&](Cache::Line &line) {
             if (!line.dirty)
                 return;
-            if (isNvmPhys(line.addr)) {
-                writebackNvmLine(b, line.addr, false);
+            Addr paddr = llc_[b].addrOf(line);
+            if (isNvmPhys(paddr)) {
+                writebackNvmLine(b, paddr, false);
             } else {
                 stats_.dramWrites++;
                 stats_.dramEnergy += cfg_.dram.accessEnergy;
