@@ -1,5 +1,8 @@
 #include "sim/config.hh"
 
+#include <cstdint>
+#include <limits>
+
 #include "sim/log.hh"
 
 namespace tvarak {
@@ -13,6 +16,15 @@ SimConfig::validate() const
 {
     fatal_if(cores == 0, "need at least one core");
     fatal_if(llcBanks == 0, "need at least one LLC bank");
+    // A sharer mask (Cache::Line::sharers, 32 bits) holds a bit per
+    // core in the LLC and a bit per controller, one per bank, in the
+    // redundancy partition.
+    constexpr std::size_t kMaxSharers =
+        std::numeric_limits<std::uint32_t>::digits;
+    fatal_if(cores > kMaxSharers, "cores (%zu) exceeds the %zu bits of "
+             "a sharer mask", cores, kMaxSharers);
+    fatal_if(llcBanks > kMaxSharers, "llcBanks (%zu) exceeds the %zu "
+             "bits of a sharer mask", llcBanks, kMaxSharers);
     auto check_cache = [](const char *name, std::size_t bytes,
                           std::size_t ways) {
         fatal_if(bytes == 0 || ways == 0, "%s: zero size or ways", name);

@@ -205,6 +205,19 @@ TEST(Config, ValidateCatchesBadGeometry)
     cfg.tvarak.cacheBytes = 12288;
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
                 "on-controller cache: set count 24 not a power of two");
+
+    // Sharer masks hold one bit per core and per bank in 32 bits.
+    cfg = test::smallConfig();
+    cfg.cores = 32;
+    cfg.llcBanks = 32;
+    cfg.validate();
+    cfg.cores = 40;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "cores \\(40\\) exceeds the 32 bits of a sharer mask");
+    cfg = test::smallConfig();
+    cfg.llcBanks = 33;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "llcBanks \\(33\\) exceeds the 32 bits of a sharer mask");
 }
 
 TEST(Config, MemorySystemRejectsBadGeometryBeforeBuildingIt)
