@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
@@ -108,8 +109,14 @@ validateRecords(const TraceData &trace, std::string &err)
     while (p < end) {
         std::uint8_t head = *p++;
         auto op = static_cast<Op>(head >> 4);
-        if ((head & 0xF) == kTidEscape && !getVarintChecked(p, end, u))
+        // Replay hands each tid to MemorySystem as an int, whose
+        // core interleave needs it non-negative.
+        if ((head & 0xF) == kTidEscape &&
+            (!getVarintChecked(p, end, u) ||
+             u > static_cast<std::uint64_t>(
+                     std::numeric_limits<int>::max()))) {
             return fail("bad escaped tid");
+        }
         switch (op) {
           case Op::Read:
             if (!getVarintChecked(p, end, u) ||

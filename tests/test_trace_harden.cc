@@ -145,6 +145,16 @@ TEST(TraceHarden, LoadRejectsCraftedCorruptStreams)
               }),
               nullptr);
 
+    // Escaped tid past int's range: replay would hand MemorySystem a
+    // negative thread id.
+    EXPECT_EQ(mangle([](trace::TraceData &t) {
+                  t.records.push_back(0x2F);  // Compute, escaped tid
+                  trace::putVarint(t.records, std::uint64_t{1} << 31);
+                  t.records.push_back(0x01);  // 1 cycle
+                  t.eventCount++;
+              }),
+              nullptr);
+
     // Header event count disagreeing with the stream.
     EXPECT_EQ(mangle([](trace::TraceData &t) { t.eventCount++; }),
               nullptr);
