@@ -309,10 +309,10 @@ DaxFs::daxMap(int fd)
     // checksum/parity lines in the *application* hierarchy; while
     // mapped, TVARAK caches them in its own controllers. Drop all
     // cached state at the boundary so neither domain can observe the
-    // other's writes stale. The drop skips empty caches, touches only
-    // the valid lines of the others (a scan of their tag mirrors finds
-    // them) and re-syncs only the NVM pages changed since the last
-    // drop, so it never rewrites every cache way or copies all of NVM.
+    // other's writes stale. The drop skips empty caches and empty
+    // sets, touches only the valid lines of the rest and re-syncs only
+    // the NVM pages changed since the last drop, so it never rewrites
+    // every cache way or copies all of NVM.
     mem_.dropCaches();
     for (std::size_t p = 0; p < f.pages; p++) {
         Addr nvm_page = pageOfVpage(f.firstVpage + p);
